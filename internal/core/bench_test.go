@@ -109,10 +109,11 @@ func benchEngineRun(b *testing.B, m config.Model, name string, insts uint64) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(committed), "ns/inst")
 }
 
-// BenchmarkCoreDualIssue measures the dual-issue in-order core built on
-// the shared internal/pipeline stage library, against its single-issue
-// baseline, on one INT and one FP-interleaved workload. Guards the cost
-// of the pairing check in the issue loop.
+// BenchmarkCoreDualIssue measures the in-order cores built on the shared
+// internal/pipeline stage library: the dual-issue core on one INT and one
+// FP-interleaved workload, its single-issue baseline, and the LITTLE core.
+// Guards the cost of the pairing check in the issue loop, and the
+// preallocated fetch-queue ring: allocs/op must stay flat in insts.
 func BenchmarkCoreDualIssue(b *testing.B) {
 	const insts = 60_000
 	for _, tc := range []struct {
@@ -122,6 +123,7 @@ func BenchmarkCoreDualIssue(b *testing.B) {
 		{config.Dual(), "libquantum"},
 		{config.Dual(), "namd"},
 		{config.DualSI(), "libquantum"},
+		{config.Little(), "libquantum"},
 	} {
 		b.Run(fmt.Sprintf("%s/%s", tc.model.Name, tc.work), func(b *testing.B) {
 			benchEngineRun(b, tc.model, tc.work, insts)

@@ -34,8 +34,8 @@ import (
 // core).
 const issueDepth = 2
 
-// capQ is the fetch-queue capacity (shared between fetch and the
-// next-event scan).
+// capQ is the fetch-queue capacity: the size of the ring allocated at
+// construction.
 func (co *Core) capQ() int {
 	return (co.cfg.FrontendDepth + issueDepth + 2) * co.cfg.FetchWidth
 }
@@ -46,15 +46,6 @@ func (co *Core) capQ() int {
 // (the paper's integer core does all memory sequencing).
 func fpDomain(cls isa.Class) bool {
 	return cls == isa.ClassFP || cls == isa.ClassFPMul || cls == isa.ClassFPDiv
-}
-
-type iuop struct {
-	rec emu.Record
-	// st is the static decode template stamped at fetch from the per-PC
-	// decode cache.
-	st         decodecache.Static
-	fetchCycle int64
-	mispredict bool
 }
 
 // PairStats are the pairing-policy diagnostics: how often the second
@@ -91,7 +82,8 @@ type Core struct {
 	// wd is the shared deadlock watchdog (progress = an issue).
 	wd engine.Watchdog
 
-	queue []*iuop
+	// queue is the fetch queue, preallocated at capQ entries.
+	queue pipeline.UopRing
 
 	regReady [2][isa.NumIntRegs]int64
 	fu       pipeline.FUPools
@@ -131,6 +123,7 @@ func New(cfg config.Model, trace engine.Trace) (*Core, error) {
 		bp:  bpred.New(cfg.Bpred),
 		fu:  pipeline.NewFUPools(cfg.IntFUs, cfg.MemFUs, cfg.FPFUs),
 	}
+	co.queue = pipeline.NewUopRing(co.capQ())
 	// CondBTBAlways=false: like the LITTLE core, the in-order front end
 	// short-circuits the BTB lookup once the direction check fails.
 	co.fe.Init(co.bp, co.mem, trace, false)
@@ -165,11 +158,11 @@ func (co *Core) Step(nCycles int64) (bool, error) {
 		co.active = false
 		co.issue()
 		co.fetch()
-		if co.fe.Drained() && len(co.queue) == 0 {
+		if co.fe.Drained() && co.queue.Len() == 0 {
 			return true, nil
 		}
 		if co.wd.Stuck(co.cycle) {
-			return false, co.wd.Fail(co.cfg.Name, co.cycle, fmt.Sprintf("queue=%d", len(co.queue)))
+			return false, co.wd.Fail(co.cfg.Name, co.cycle, fmt.Sprintf("queue=%d", co.queue.Len()))
 		}
 		if co.skip.Enabled && !co.active {
 			if j := co.skip.Jump(co.cycle, nCycles-1-n, &co.wd); j > 0 {
@@ -193,30 +186,27 @@ func (co *Core) Result() engine.Result {
 }
 
 // Occupancy reports the fetch-queue depth (engine.OccupancyReporter).
-func (co *Core) Occupancy() (rob, iq int) { return len(co.queue), 0 }
+func (co *Core) Occupancy() (rob, iq int) { return co.queue.Len(), 0 }
 
 // Abort drops the in-flight window after an interrupted run
 // (engine.Aborter).
 func (co *Core) Abort() {
-	co.queue = co.queue[:0]
+	co.queue.Reset()
 	co.fe.DropReplay()
 	co.blocked = false
 }
 
-// fetch is the shared front end; this core contributes only iuop
+// fetch is the shared front end; this core contributes only uop
 // construction and the blocked-bit bookkeeping through the admit
 // callback.
 func (co *Core) fetch() {
-	room := co.capQ() - len(co.queue)
-	fetched := co.fe.FetchCycle(co.cycle, co.blocked, co.cfg.FetchWidth, room, &co.c,
+	fetched := co.fe.FetchCycle(co.cycle, co.blocked, co.cfg.FetchWidth, co.queue.Room(), &co.c,
 		func(rec emu.Record, st *decodecache.Static, mispred bool) {
-			u := &iuop{rec: rec, st: *st, fetchCycle: co.cycle}
+			*co.queue.Push() = pipeline.InOrderUop{Rec: rec, St: *st, FetchCycle: co.cycle, Mispredict: mispred}
 			if mispred {
-				u.mispredict = true
 				co.blocked = true
 				co.blockStart = co.cycle
 			}
-			co.queue = append(co.queue, u)
 		})
 	if fetched {
 		co.active = true
@@ -234,12 +224,12 @@ func (co *Core) fetch() {
 func (co *Core) issue() {
 	issued := 0
 	firstFP := false
-	for issued < co.cfg.IssueWidth && len(co.queue) > 0 {
-		u := co.queue[0]
-		if co.cycle < u.fetchCycle+int64(co.cfg.FrontendDepth)+issueDepth {
+	for issued < co.cfg.IssueWidth && co.queue.Len() > 0 {
+		u := co.queue.Front()
+		if co.cycle < u.FetchCycle+int64(co.cfg.FrontendDepth)+issueDepth {
 			break
 		}
-		cls := u.st.Cls
+		cls := u.St.Cls
 
 		// Pairing: the second slot must come from the opposite domain
 		// (in-order, so a same-domain head stalls the cycle).
@@ -250,7 +240,7 @@ func (co *Core) issue() {
 
 		// RAW: all sources ready.
 		ready := true
-		for _, r := range u.st.Srcs[:u.st.NSrc] {
+		for _, r := range u.St.Srcs[:u.St.NSrc] {
 			if co.regReady[r.File][r.Index] > co.cycle {
 				ready = false
 				break
@@ -260,7 +250,7 @@ func (co *Core) issue() {
 			break
 		}
 		// WAW interlock: pending write to the destination must complete.
-		dst, hasDst := u.st.Dst, u.st.HasDst
+		dst, hasDst := u.St.Dst, u.St.HasDst
 		if hasDst && co.regReady[dst.File][dst.Index] > co.cycle {
 			break
 		}
@@ -270,32 +260,32 @@ func (co *Core) issue() {
 		if fu < 0 {
 			break
 		}
-		if (u.st.IsLoad || u.st.IsStore) && co.memPortsThisCycle >= co.cfg.MemFUs {
+		if (u.St.IsLoad || u.St.IsStore) && co.memPortsThisCycle >= co.cfg.MemFUs {
 			break
 		}
 
 		// Issue.
-		co.queue = co.queue[1:]
+		co.queue.PopFront()
 		if issued == 0 {
 			firstFP = fpDomain(cls)
 		}
 		issued++
 		co.active = true
 		co.wd.Progress(co.cycle)
-		lat := u.st.Lat
+		lat := u.St.Lat
 		occupancy := int64(1)
-		if u.st.Unpipelined {
+		if u.St.Unpipelined {
 			occupancy = lat
 		}
 		pool[fu] = co.cycle + occupancy
 		switch cls {
 		case isa.ClassLoad:
 			co.memPortsThisCycle++
-			lat = int64(co.mem.DataRead(u.rec.EA))
+			lat = int64(co.mem.DataRead(u.Rec.EA))
 		case isa.ClassStore:
 			co.memPortsThisCycle++
 			// Store buffer: the write drains off the critical path.
-			co.mem.DataWrite(u.rec.EA)
+			co.mem.DataWrite(u.Rec.EA)
 			lat = 1
 		}
 		done := co.cycle + lat
@@ -303,14 +293,14 @@ func (co *Core) issue() {
 			co.regReady[dst.File][dst.Index] = done
 			co.c.PRFWrites++
 		}
-		co.c.PRFReads += uint64(u.st.NSrc)
+		co.c.PRFReads += uint64(u.St.NSrc)
 		co.c.FUOps[cls]++
 		if done > co.lastDone {
 			co.lastDone = done
 		}
 
 		// Branch resolution at execute.
-		if u.mispredict {
+		if u.Mispredict {
 			resolve := co.cycle + 2
 			resume := resolve + int64(co.cfg.RedirectLatency)
 			co.fe.StallUntil(resume)
@@ -341,22 +331,22 @@ func (co *Core) issue() {
 // which the pairing rule never constrains — gated by exactly these
 // conditions.
 func (co *Core) headEvents(ev func(int64)) {
-	if len(co.queue) == 0 {
+	if co.queue.Len() == 0 {
 		return
 	}
-	u := co.queue[0]
-	c := u.fetchCycle + int64(co.cfg.FrontendDepth) + issueDepth
-	for _, r := range u.st.Srcs[:u.st.NSrc] {
+	u := co.queue.Front()
+	c := u.FetchCycle + int64(co.cfg.FrontendDepth) + issueDepth
+	for _, r := range u.St.Srcs[:u.St.NSrc] {
 		if rc := co.regReady[r.File][r.Index]; rc > c {
 			c = rc
 		}
 	}
-	if u.st.HasDst {
-		if rc := co.regReady[u.st.Dst.File][u.st.Dst.Index]; rc > c {
+	if u.St.HasDst {
+		if rc := co.regReady[u.St.Dst.File][u.St.Dst.Index]; rc > c {
 			c = rc
 		}
 	}
-	if free := pipeline.NextFree(co.fu.Pool(u.st.Cls)); free > c {
+	if free := pipeline.NextFree(co.fu.Pool(u.St.Cls)); free > c {
 		c = free
 	}
 	ev(c)
@@ -365,5 +355,5 @@ func (co *Core) headEvents(ev func(int64)) {
 // fetchEvents: the shared front end's candidate, gated on queue room and
 // the unresolved-mispredict bit (resolution is an issue event).
 func (co *Core) fetchEvents(ev func(int64)) {
-	co.fe.FetchEvent(co.blocked, len(co.queue) < co.capQ(), ev)
+	co.fe.FetchEvent(co.blocked, co.queue.Room() > 0, ev)
 }

@@ -81,9 +81,7 @@ func New(p *asm.Program) *Machine {
 		pred: make(map[uint64]*predecodePage),
 	}
 	m.Mem.setCodeWriteHook(m.invalidateCode)
-	for _, seg := range p.Segments {
-		m.Mem.WriteBytes(seg.Addr, seg.Data)
-	}
+	m.Mem.loadSegments(p.Segments)
 	m.PC = p.Entry
 	return m
 }

@@ -8,6 +8,8 @@ import (
 	"encoding/binary"
 	"sort"
 	"sync/atomic"
+
+	"fxa/internal/asm"
 )
 
 const pageBits = 12
@@ -279,6 +281,49 @@ func (m *Memory) WriteBytes(addr uint64, data []byte) {
 		n := copy(m.wpage(addr).data[off:], data)
 		data = data[n:]
 		addr += uint64(n)
+	}
+}
+
+// loadSegments copies a program image into memory. Every page the
+// segments touch that is not yet resident is first allocated from one
+// []page slab — a single allocation for the whole image instead of one
+// per 4 KiB — and the bytes are then copied in through the ordinary write
+// path. Slab pages are ordinary private pages (refs == 1): copy-on-write,
+// Clone and the access fast paths treat them exactly like pages from
+// newPage. The slab stays reachable while any of its pages is resident in
+// some memory.
+func (m *Memory) loadSegments(segs []asm.Segment) {
+	// Pass 1: count the absent pages. Segments are sorted and disjoint,
+	// so a page shared by two segments is the previous segment's last.
+	n := 0
+	last := ^uint64(0)
+	for _, s := range segs {
+		if len(s.Data) == 0 {
+			continue
+		}
+		for k, hi := s.Addr>>pageBits, (s.Addr+uint64(len(s.Data))-1)>>pageBits; k <= hi; k++ {
+			if k != last && m.lookup(k) == nil {
+				n++
+			}
+			last = k
+		}
+	}
+	// Pass 2: install slab pages. Anything the count missed (an unsorted
+	// image) falls back to newPage inside WriteBytes.
+	slab := make([]page, n)
+	for _, s := range segs {
+		if len(s.Data) == 0 {
+			continue
+		}
+		for k, hi := s.Addr>>pageBits, (s.Addr+uint64(len(s.Data))-1)>>pageBits; k <= hi && len(slab) > 0; k++ {
+			if m.lookup(k) == nil {
+				p := &slab[0]
+				slab = slab[1:]
+				p.refs.Store(1)
+				m.install(k, p)
+			}
+		}
+		m.WriteBytes(s.Addr, s.Data)
 	}
 }
 

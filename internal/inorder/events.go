@@ -24,22 +24,22 @@ func (co *Core) registerSkipSources() {
 // candidate: memPortsThisCycle > 0 implies an issue happened this cycle,
 // which marked the cycle active.)
 func (co *Core) headEvents(ev func(int64)) {
-	if len(co.queue) == 0 {
+	if co.queue.Len() == 0 {
 		return
 	}
-	u := co.queue[0]
-	c := u.fetchCycle + int64(co.cfg.FrontendDepth) + issueDepth
-	for _, r := range u.st.Srcs[:u.st.NSrc] {
+	u := co.queue.Front()
+	c := u.FetchCycle + int64(co.cfg.FrontendDepth) + issueDepth
+	for _, r := range u.St.Srcs[:u.St.NSrc] {
 		if rc := co.regReady[r.File][r.Index]; rc > c {
 			c = rc
 		}
 	}
-	if u.st.HasDst {
-		if rc := co.regReady[u.st.Dst.File][u.st.Dst.Index]; rc > c {
+	if u.St.HasDst {
+		if rc := co.regReady[u.St.Dst.File][u.St.Dst.Index]; rc > c {
 			c = rc
 		}
 	}
-	if free := pipeline.NextFree(co.fu.Pool(u.st.Cls)); free > c {
+	if free := pipeline.NextFree(co.fu.Pool(u.St.Cls)); free > c {
 		c = free
 	}
 	ev(c)
@@ -51,5 +51,5 @@ func (co *Core) headEvents(ev func(int64)) {
 // blocked on an unresolved mispredict resumes via the head-issue path
 // too.
 func (co *Core) fetchEvents(ev func(int64)) {
-	co.fe.FetchEvent(co.blocked, len(co.queue) < co.capQ(), ev)
+	co.fe.FetchEvent(co.blocked, co.queue.Room() > 0, ev)
 }

@@ -31,20 +31,10 @@ import (
 // penalty.
 const issueDepth = 2
 
-// capQ is the fetch-queue capacity (shared between fetch and the
-// next-event scan).
+// capQ is the fetch-queue capacity: the size of the ring allocated at
+// construction.
 func (co *Core) capQ() int {
 	return (co.cfg.FrontendDepth + issueDepth + 2) * co.cfg.FetchWidth
-}
-
-type iuop struct {
-	rec emu.Record
-	// st is the static decode template stamped at fetch from the per-PC
-	// decode cache; issue reads register/class/latency facts from it
-	// instead of re-deriving them from rec.Inst every attempt.
-	st         decodecache.Static
-	fetchCycle int64
-	mispredict bool
 }
 
 // Core is one in-order core simulation. It implements engine.Engine
@@ -66,7 +56,8 @@ type Core struct {
 	// wd is the shared deadlock watchdog (progress = an issue).
 	wd engine.Watchdog
 
-	queue []*iuop
+	// queue is the fetch queue, preallocated at capQ entries.
+	queue pipeline.UopRing
 
 	regReady [2][isa.NumIntRegs]int64
 	fu       pipeline.FUPools
@@ -103,6 +94,7 @@ func New(cfg config.Model, trace engine.Trace) (*Core, error) {
 		bp:  bpred.New(cfg.Bpred),
 		fu:  pipeline.NewFUPools(cfg.IntFUs, cfg.MemFUs, cfg.FPFUs),
 	}
+	co.queue = pipeline.NewUopRing(co.capQ())
 	// CondBTBAlways=false: the in-order front end short-circuits the BTB
 	// lookup for taken conditionals once the direction check fails.
 	co.fe.Init(co.bp, co.mem, trace, false)
@@ -144,11 +136,11 @@ func (co *Core) Step(nCycles int64) (bool, error) {
 		co.active = false
 		co.issue()
 		co.fetch()
-		if co.fe.Drained() && len(co.queue) == 0 {
+		if co.fe.Drained() && co.queue.Len() == 0 {
 			return true, nil
 		}
 		if co.wd.Stuck(co.cycle) {
-			return false, co.wd.Fail(co.cfg.Name, co.cycle, fmt.Sprintf("queue=%d", len(co.queue)))
+			return false, co.wd.Fail(co.cfg.Name, co.cycle, fmt.Sprintf("queue=%d", co.queue.Len()))
 		}
 		if co.skip.Enabled && !co.active {
 			if j := co.skip.Jump(co.cycle, nCycles-1-n, &co.wd); j > 0 {
@@ -174,13 +166,13 @@ func (co *Core) Result() engine.Result {
 // Occupancy reports the issue-queue depth (engine.OccupancyReporter). The
 // in-order core has no ROB or out-of-order issue queue; its in-flight
 // window is the fetch queue, reported in the ROB slot.
-func (co *Core) Occupancy() (rob, iq int) { return len(co.queue), 0 }
+func (co *Core) Occupancy() (rob, iq int) { return co.queue.Len(), 0 }
 
 // Abort drops the in-flight window after an interrupted run
 // (engine.Aborter). The in-order core holds no pooled resources; clearing
 // the queue just makes the abort explicit.
 func (co *Core) Abort() {
-	co.queue = co.queue[:0]
+	co.queue.Reset()
 	co.fe.DropReplay()
 	co.blocked = false
 }
@@ -188,20 +180,17 @@ func (co *Core) Abort() {
 // fetch mirrors the out-of-order front end: predictor consultation,
 // I-cache access per line, fetch groups ending at taken branches, and a
 // stall after a mispredicted branch until it resolves at execute. The
-// loop is the shared pipeline.Frontend; this core contributes only iuop
+// loop is the shared pipeline.Frontend; this core contributes only uop
 // construction and the blocked-bit bookkeeping through the admit
 // callback.
 func (co *Core) fetch() {
-	room := co.capQ() - len(co.queue)
-	fetched := co.fe.FetchCycle(co.cycle, co.blocked, co.cfg.FetchWidth, room, &co.c,
+	fetched := co.fe.FetchCycle(co.cycle, co.blocked, co.cfg.FetchWidth, co.queue.Room(), &co.c,
 		func(rec emu.Record, st *decodecache.Static, mispred bool) {
-			u := &iuop{rec: rec, st: *st, fetchCycle: co.cycle}
+			*co.queue.Push() = pipeline.InOrderUop{Rec: rec, St: *st, FetchCycle: co.cycle, Mispredict: mispred}
 			if mispred {
-				u.mispredict = true
 				co.blocked = true
 				co.blockStart = co.cycle
 			}
-			co.queue = append(co.queue, u)
 		})
 	if fetched {
 		co.active = true
@@ -213,21 +202,21 @@ func (co *Core) fetch() {
 // behaviour the paper contrasts with the IXU's flow-through NOPs.
 func (co *Core) issue() {
 	issued := 0
-	for issued < co.cfg.IssueWidth && len(co.queue) > 0 {
-		u := co.queue[0]
-		if co.cycle < u.fetchCycle+int64(co.cfg.FrontendDepth)+issueDepth {
+	for issued < co.cfg.IssueWidth && co.queue.Len() > 0 {
+		u := co.queue.Front()
+		if co.cycle < u.FetchCycle+int64(co.cfg.FrontendDepth)+issueDepth {
 			return
 		}
-		cls := u.st.Cls
+		cls := u.St.Cls
 
 		// RAW: all sources ready.
-		for _, r := range u.st.Srcs[:u.st.NSrc] {
+		for _, r := range u.St.Srcs[:u.St.NSrc] {
 			if co.regReady[r.File][r.Index] > co.cycle {
 				return
 			}
 		}
 		// WAW interlock: pending write to the destination must complete.
-		dst, hasDst := u.st.Dst, u.st.HasDst
+		dst, hasDst := u.St.Dst, u.St.HasDst
 		if hasDst && co.regReady[dst.File][dst.Index] > co.cycle {
 			return
 		}
@@ -237,29 +226,29 @@ func (co *Core) issue() {
 		if fu < 0 {
 			return
 		}
-		if (u.st.IsLoad || u.st.IsStore) && co.memPortsThisCycle >= co.cfg.MemFUs {
+		if (u.St.IsLoad || u.St.IsStore) && co.memPortsThisCycle >= co.cfg.MemFUs {
 			return
 		}
 
 		// Issue.
-		co.queue = co.queue[1:]
+		co.queue.PopFront()
 		issued++
 		co.active = true
 		co.wd.Progress(co.cycle)
-		lat := u.st.Lat
+		lat := u.St.Lat
 		occupancy := int64(1)
-		if u.st.Unpipelined {
+		if u.St.Unpipelined {
 			occupancy = lat
 		}
 		pool[fu] = co.cycle + occupancy
 		switch cls {
 		case isa.ClassLoad:
 			co.memPortsThisCycle++
-			lat = int64(co.mem.DataRead(u.rec.EA))
+			lat = int64(co.mem.DataRead(u.Rec.EA))
 		case isa.ClassStore:
 			co.memPortsThisCycle++
 			// Store buffer: the write drains off the critical path.
-			co.mem.DataWrite(u.rec.EA)
+			co.mem.DataWrite(u.Rec.EA)
 			lat = 1
 		}
 		done := co.cycle + lat
@@ -267,14 +256,14 @@ func (co *Core) issue() {
 			co.regReady[dst.File][dst.Index] = done
 			co.c.PRFWrites++
 		}
-		co.c.PRFReads += uint64(u.st.NSrc)
+		co.c.PRFReads += uint64(u.St.NSrc)
 		co.c.FUOps[cls]++
 		if done > co.lastDone {
 			co.lastDone = done
 		}
 
 		// Branch resolution at execute.
-		if u.mispredict {
+		if u.Mispredict {
 			resolve := co.cycle + 2
 			resume := resolve + int64(co.cfg.RedirectLatency)
 			co.fe.StallUntil(resume)

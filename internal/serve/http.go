@@ -10,7 +10,8 @@ import (
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST   /v1/jobs        submit a JobSpec; 202 + {id}, 429 when full
+//	POST   /v1/jobs        submit a JobSpec; 202 + {id}, 429 when full,
+//	                       413 over maxSpecBytes
 //	GET    /v1/jobs/{id}   NDJSON event stream (replay + live until terminal)
 //	DELETE /v1/jobs/{id}   cancel a queued or in-flight job
 //	GET    /v1/stats       fabric counters (queues, cache, tenants)
@@ -57,12 +58,35 @@ func writeError(w http.ResponseWriter, code int, err error, retryAfter int) {
 	writeJSON(w, code, ErrorReply{Error: err.Error(), RetryAfter: retryAfter})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// maxSpecBytes caps a submit body. A job spec is a few hundred bytes of
+// JSON, so the cap admits any real spec with a wide margin while bounding
+// what one request can make the daemon read.
+const maxSpecBytes = 64 << 10
+
+// errSpecTooLarge is the 413 answer to a submit body over maxSpecBytes.
+var errSpecTooLarge = fmt.Errorf("serve: job spec exceeds %d bytes", maxSpecBytes)
+
+// decodeSpec reads a submit body into a JobSpec. On failure it has
+// already answered: 413 for a body over maxSpecBytes, 400 otherwise.
+func decodeSpec(w http.ResponseWriter, r *http.Request) (JobSpec, bool) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode job spec: %w", err), 0)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, errSpecTooLarge, 0)
+		} else {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode job spec: %w", err), 0)
+		}
+		return spec, false
+	}
+	return spec, true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, ok := decodeSpec(w, r)
+	if !ok {
 		return
 	}
 	jr, err := s.Submit(spec)
@@ -196,11 +220,8 @@ func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 // router's own job store and proxy pumps.
 
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode job spec: %w", err), 0)
+	spec, ok := decodeSpec(w, r)
+	if !ok {
 		return
 	}
 	rj, err := rt.Submit(spec)

@@ -208,19 +208,21 @@ func (p Params) dataTable() []byte {
 	r := newRNG(p.Name + "/data")
 	if p.Chase > 0 || p.Pattern == Chase {
 		// Sattolo's algorithm: a single cycle over all n slots.
-		perm := make([]int, n)
+		// uint32 slots: Validate caps the footprint at dataRegion, so
+		// n <= 1<<23.
+		perm := make([]uint32, n)
 		for i := range perm {
-			perm[i] = i
+			perm[i] = uint32(i)
 		}
 		for i := n - 1; i > 0; i-- {
-			j := int(r.next() % uint64(i))
+			j := r.next() % uint64(i)
 			perm[i], perm[j] = perm[j], perm[i]
 		}
 		// Chain slot perm[i] -> perm[i+1]: one cycle over the footprint.
 		for i := 0; i < n; i++ {
-			from := perm[i]
-			to := perm[(i+1)%n]
-			binary.LittleEndian.PutUint64(buf[from*8:], uint64(dataBase+to*8))
+			from := uint64(perm[i])
+			to := uint64(perm[(i+1)%n])
+			binary.LittleEndian.PutUint64(buf[from*8:], dataBase+to*8)
 		}
 		return buf
 	}
