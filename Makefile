@@ -22,7 +22,8 @@
 #   make bench-gate-update  re-record those baselines (after an
 #                intentional perf change; see EXPERIMENTS.md)
 #   make bench-gate-full    the nightly gate: double repetitions
-#   make fuzz    run of the core's random-flush fuzzer (FUZZTIME=30s)
+#   make fuzz    the core's random-flush fuzzer, then the data-table
+#                fill fuzzer (FUZZTIME=30s each)
 #   make serve-smoke  end-to-end smoke of the fxad daemon over real
 #                HTTP: build, serve, submit, stream, cache-hit, SIGTERM
 #   make cluster-smoke  multi-shard smoke of the sharded fabric: 3 worker
@@ -48,10 +49,11 @@ GO ?= go
 # copy-on-write clones execute on other goroutines, and the serving
 # fabric that multiplexes concurrent tenants onto the sweep path. The
 # shared pipeline stage library rides along because every core built on
-# it runs on sweep worker goroutines, and the consistent-hash ring is
-# read concurrently by every router pump. (The root package's
+# it runs on sweep worker goroutines, the consistent-hash ring is read
+# concurrently by every router pump, and sweep workers share the
+# workload package's memoized data-table skeletons. (The root package's
 # multi-worker determinism tests run under race in race-full.)
-RACE_PKGS = ./internal/sweep ./internal/sampling ./internal/emu ./internal/serve ./internal/pipeline ./internal/ring
+RACE_PKGS = ./internal/sweep ./internal/sampling ./internal/emu ./internal/serve ./internal/pipeline ./internal/ring ./internal/workload
 
 # Perfgate knobs (override on the command line, e.g.
 # `make bench-gate PERFGATE_BENCHOUT=bench-raw.txt`).
@@ -163,11 +165,15 @@ bench-gate-full:
 bench-gate-update:
 	$(GO) run ./cmd/fxabench -perfgate -update-baseline -count $(PERFGATE_COUNT)
 
-# Run of the native fuzzer over random flush points (the seed corpus —
-# mid-IXU squash, LQ/SQ partial squash, MSHR exhaustion, RENO squash —
-# always runs as part of `make test` via TestFuzzRandomFlush).
+# Runs of the native fuzzers, FUZZTIME each: random flush points in the
+# core (the seed corpus — mid-IXU squash, LQ/SQ partial squash, MSHR
+# exhaustion, RENO squash — always runs as part of `make test` via
+# TestFuzzRandomFlush), then random-access fills of the generated proxy
+# data tables (FuzzSegmentFill, whose seed corpus also runs in `make
+# test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRandomFlush -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzSegmentFill -fuzztime $(FUZZTIME) ./internal/workload
 
 # The sampling differential-validation suite (DESIGN.md §8.7) under the
 # race detector: sampled CIs must cover full-detailed truth for every

@@ -50,10 +50,40 @@ type Program struct {
 	Labels map[string]uint64
 }
 
-// Segment is a contiguous run of initialized memory.
+// Segment is a contiguous run of initialized memory, held either as
+// bytes (Data) or in generated form (Size and Fill). A generated segment
+// lets a loader produce its contents straight into their destination:
+// a multi-megabyte table never exists as a separate buffer.
 type Segment struct {
 	Addr uint64
 	Data []byte
+
+	// Size is the length of a generated segment; it is ignored when
+	// Fill is nil.
+	Size uint64
+	// Fill, when non-nil, writes the segment's bytes [off, off+len(dst))
+	// into dst, for any off and len(dst) within Size. It must be pure
+	// and safe to call from several goroutines at once.
+	Fill func(off uint64, dst []byte)
+}
+
+// Len returns the segment's length in bytes.
+func (s Segment) Len() uint64 {
+	if s.Fill != nil {
+		return s.Size
+	}
+	return uint64(len(s.Data))
+}
+
+// Bytes returns the segment's contents: Data itself, or a newly
+// generated buffer for a generated segment.
+func (s Segment) Bytes() []byte {
+	if s.Fill == nil {
+		return s.Data
+	}
+	b := make([]byte, s.Size)
+	s.Fill(0, b)
+	return b
 }
 
 // DefaultOrg is the location counter before any .org directive.

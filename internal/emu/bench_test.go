@@ -12,11 +12,15 @@ package emu_test
 //   - BenchmarkEmuStepForward: the same workloads on the reference
 //     one-Step-per-instruction path, so the fast-path ratio is always one
 //     benchstat away.
+//   - BenchmarkEmuLoad: set-up of one evaluation cell's machine —
+//     workload.Build plus emu.New, which generates the data table
+//     straight into the machine's pages. B/op is the page slab and the
+//     kernel; nothing else may scale with the footprint.
 //   - BenchmarkMemoryClone / BenchmarkMachineClone: O(1)-snapshot cost —
 //     allocs/op must stay constant as resident memory grows (the COW
 //     page-table copy), never scale with it.
 //
-// Machine setup (emu.New writes megabytes of workload data tables) is
+// Machine setup (emu.New generates megabytes of workload data tables) is
 // excluded from the timed region via StopTimer/StartTimer: fast-forward
 // throughput is the quantity under test, and at MB-scale footprints setup
 // otherwise dilutes the ns/inst signal several-fold.
@@ -67,6 +71,32 @@ func benchFF(b *testing.B, mode emu.FFMode) {
 func BenchmarkEmuFastForward(b *testing.B) { benchFF(b, emu.FFFast) }
 
 func BenchmarkEmuStepForward(b *testing.B) { benchFF(b, emu.FFStep) }
+
+var loadSink *emu.Machine
+
+func BenchmarkEmuLoad(b *testing.B) {
+	for _, name := range ffBenchWorkloads {
+		w, ok := workload.ByName(name)
+		if !ok {
+			b.Fatalf("unknown workload %s", name)
+		}
+		// The first Build derives the proxy's memoized table skeleton,
+		// a once-per-process cost kept out of the timed loop.
+		if _, err := w.Build(); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				prog, err := w.Build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				loadSink = emu.New(prog)
+			}
+		})
+	}
+}
 
 // BenchmarkMemoryClone measures the copy-on-write snapshot at a realistic
 // resident footprint (mcf's 8 MB random-access working set, ~2000 pages).

@@ -30,9 +30,7 @@ func isolationImage(t *testing.T) *asm.Program {
 	t.Helper()
 	p := asm.MustAssemble(isolationProgram)
 	data := make([]byte, 5*pageSize)
-	for i := range data {
-		data[i] = byte(i*7 + 1)
-	}
+	patternFill(0, data)
 	p.Segments = append(p.Segments, asm.Segment{Addr: 0x10100, Data: data})
 	return p
 }
@@ -108,24 +106,49 @@ func TestLoadedMachinesIsolated(t *testing.T) {
 	}
 }
 
+// patternFill is a generated segment's Fill: byte i of the segment is
+// byte(i*7 + 1).
+func patternFill(off uint64, dst []byte) {
+	for j := range dst {
+		dst[j] = byte((off+uint64(j))*7 + 1)
+	}
+}
+
 // TestLoadAllocsIndependentOfImageSize: loading allocates one slab for
 // the whole image, so New costs the same number of allocations for a
-// one-page image as for a 1024-page one.
+// one-page image as for a 1025-page one, whether the big segment holds
+// bytes or is generated. The generated segment starts and ends mid-page,
+// shares its first page with the eager segment before it, and must load
+// exactly the bytes of its eager form.
 func TestLoadAllocsIndependentOfImageSize(t *testing.T) {
-	image := func(pages int) *asm.Program {
-		return &asm.Program{Segments: []asm.Segment{
-			{Addr: 0x1000, Data: []byte{1, 2, 3, 4}},
-			{Addr: 0x100800, Data: bytes.Repeat([]byte{5}, pages*pageSize)},
-		}}
+	head := asm.Segment{Addr: 0x100000, Data: []byte{1, 2, 3, 4}}
+	image := func(data asm.Segment) *asm.Program {
+		return &asm.Program{Segments: []asm.Segment{head, data}}
 	}
-	small, big := image(1), image(1024)
+	gen := asm.Segment{Addr: 0x100803, Size: 1024*pageSize - 5, Fill: patternFill}
+	small := image(asm.Segment{Addr: 0x100800, Data: []byte{5}})
+	eager := image(asm.Segment{Addr: gen.Addr, Data: gen.Bytes()})
+	generated := image(gen)
+
 	var sink *Machine
-	allocsSmall := testing.AllocsPerRun(5, func() { sink = New(small) })
-	allocsBig := testing.AllocsPerRun(5, func() { sink = New(big) })
-	if sink.Mem.Footprint() != 1026 {
-		t.Fatalf("footprint %d, want 1026", sink.Mem.Footprint())
+	allocs := func(p *asm.Program) float64 {
+		return testing.AllocsPerRun(5, func() { sink = New(p) })
 	}
-	if allocsBig != allocsSmall {
-		t.Errorf("New allocations scale with image size: %v (2 pages) vs %v (1026 pages)", allocsSmall, allocsBig)
+	allocsSmall := allocs(small)
+	for _, big := range []struct {
+		name string
+		prog *asm.Program
+	}{{"eager", eager}, {"generated", generated}} {
+		allocsBig := allocs(big.prog)
+		if sink.Mem.Footprint() != 1025 {
+			t.Fatalf("%s: footprint %d, want 1025", big.name, sink.Mem.Footprint())
+		}
+		if allocsBig != allocsSmall {
+			t.Errorf("%s: New allocations scale with image size: %v (1 page) vs %v (1025 pages)", big.name, allocsSmall, allocsBig)
+		}
+	}
+	if e, g := New(eager).Mem, New(generated).Mem; !g.Equal(e) {
+		addr, _ := g.Diff(e)
+		t.Errorf("generated load differs from eager at %#x", addr)
 	}
 }

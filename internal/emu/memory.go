@@ -274,56 +274,56 @@ func (m *Memory) Read32(addr uint64) uint32 {
 	return v
 }
 
-// WriteBytes copies data into memory starting at addr.
-func (m *Memory) WriteBytes(addr uint64, data []byte) {
-	for len(data) > 0 {
-		off := addr & (pageSize - 1)
-		n := copy(m.wpage(addr).data[off:], data)
-		data = data[n:]
-		addr += uint64(n)
-	}
-}
-
-// loadSegments copies a program image into memory. Every page the
-// segments touch that is not yet resident is first allocated from one
-// []page slab — a single allocation for the whole image instead of one
-// per 4 KiB — and the bytes are then copied in through the ordinary write
-// path. Slab pages are ordinary private pages (refs == 1): copy-on-write,
-// Clone and the access fast paths treat them exactly like pages from
-// newPage. The slab stays reachable while any of its pages is resident in
-// some memory.
+// loadSegments writes a program image into memory. Every page the
+// segments touch that is not yet resident is taken from one []page slab
+// — a single allocation for the whole image instead of one per 4 KiB —
+// and each page's share of a segment is then copied in (Data) or
+// generated in place (Fill), with no intermediate buffer. Slab pages are
+// ordinary private pages (refs == 1): copy-on-write, Clone and the
+// access fast paths treat them exactly like pages from newPage. The slab
+// stays reachable while any of its pages is resident in some memory.
 func (m *Memory) loadSegments(segs []asm.Segment) {
 	// Pass 1: count the absent pages. Segments are sorted and disjoint,
 	// so a page shared by two segments is the previous segment's last.
 	n := 0
 	last := ^uint64(0)
 	for _, s := range segs {
-		if len(s.Data) == 0 {
+		size := s.Len()
+		if size == 0 {
 			continue
 		}
-		for k, hi := s.Addr>>pageBits, (s.Addr+uint64(len(s.Data))-1)>>pageBits; k <= hi; k++ {
+		for k, hi := s.Addr>>pageBits, (s.Addr+size-1)>>pageBits; k <= hi; k++ {
 			if k != last && m.lookup(k) == nil {
 				n++
 			}
 			last = k
 		}
 	}
-	// Pass 2: install slab pages. Anything the count missed (an unsorted
-	// image) falls back to newPage inside WriteBytes.
+	// Pass 2: install slab pages and write each page's bytes. Anything
+	// the count missed (an unsorted image) falls back to newPage inside
+	// wpage.
 	slab := make([]page, n)
 	for _, s := range segs {
-		if len(s.Data) == 0 {
-			continue
-		}
-		for k, hi := s.Addr>>pageBits, (s.Addr+uint64(len(s.Data))-1)>>pageBits; k <= hi && len(slab) > 0; k++ {
-			if m.lookup(k) == nil {
+		size := s.Len()
+		for off := uint64(0); off < size; {
+			addr := s.Addr + off
+			if len(slab) > 0 && m.lookup(addr>>pageBits) == nil {
 				p := &slab[0]
 				slab = slab[1:]
 				p.refs.Store(1)
-				m.install(k, p)
+				m.install(addr>>pageBits, p)
 			}
+			dst := m.wpage(addr).data[addr&(pageSize-1):]
+			if rem := size - off; uint64(len(dst)) > rem {
+				dst = dst[:rem]
+			}
+			if s.Fill != nil {
+				s.Fill(off, dst)
+			} else {
+				copy(dst, s.Data[off:])
+			}
+			off += uint64(len(dst))
 		}
-		m.WriteBytes(s.Addr, s.Data)
 	}
 }
 

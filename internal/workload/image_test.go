@@ -53,9 +53,9 @@ func imageDigest(prog *asm.Program) string {
 	var hdr [16]byte
 	for _, s := range prog.Segments {
 		binary.LittleEndian.PutUint64(hdr[:8], s.Addr)
-		binary.LittleEndian.PutUint64(hdr[8:], uint64(len(s.Data)))
+		binary.LittleEndian.PutUint64(hdr[8:], s.Len())
 		h.Write(hdr[:])
-		h.Write(s.Data)
+		h.Write(s.Bytes())
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -115,10 +115,12 @@ func (p Params) Build() (*asm.Program, error) {
 		return nil, fmt.Errorf("workload %s: %w\nsource:\n%s", p.Name, err, src)
 	}
 	// Data segments are built in Go (far too large to express as .quad
-	// directives).
+	// directives). The data table is generated into the loader's pages
+	// from its skeleton (datatable.go), never materialised here.
+	sk := p.tableKey().skeleton()
 	prog.Segments = append(prog.Segments,
 		asm.Segment{Addr: brTableBase, Data: p.branchTable()},
-		asm.Segment{Addr: dataBase, Data: p.dataTable()},
+		asm.Segment{Addr: dataBase, Size: sk.size, Fill: sk.fill},
 	)
 	return prog, nil
 }
@@ -195,39 +197,6 @@ func (p Params) branchTable() []byte {
 			v = 1
 		}
 		binary.LittleEndian.PutUint64(buf[i*8:], v)
-	}
-	return buf
-}
-
-// dataTable returns the proxy's data footprint: random payload words, or —
-// for Chase — a random pointer cycle covering the footprint (each word
-// holds the absolute address of the next element).
-func (p Params) dataTable() []byte {
-	n := p.Footprint / 8
-	buf := make([]byte, p.Footprint)
-	r := newRNG(p.Name + "/data")
-	if p.Chase > 0 || p.Pattern == Chase {
-		// Sattolo's algorithm: a single cycle over all n slots.
-		// uint32 slots: Validate caps the footprint at dataRegion, so
-		// n <= 1<<23.
-		perm := make([]uint32, n)
-		for i := range perm {
-			perm[i] = uint32(i)
-		}
-		for i := n - 1; i > 0; i-- {
-			j := r.next() % uint64(i)
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		// Chain slot perm[i] -> perm[i+1]: one cycle over the footprint.
-		for i := 0; i < n; i++ {
-			from := uint64(perm[i])
-			to := uint64(perm[(i+1)%n])
-			binary.LittleEndian.PutUint64(buf[from*8:], dataBase+to*8)
-		}
-		return buf
-	}
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(buf[i*8:], r.next()%4096)
 	}
 	return buf
 }

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"bytes"
 	"testing"
 
+	"fxa/internal/asm"
 	"fxa/internal/isa"
 )
 
@@ -161,15 +163,7 @@ func TestChaseTableIsSingleCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Extract the chase segment and follow the cycle.
-	var data []byte
-	for _, s := range prog.Segments {
-		if s.Addr == dataBase {
-			data = s.Data
-		}
-	}
-	if data == nil {
-		t.Fatal("no data segment")
-	}
+	data := dataSegment(t, prog).Bytes()
 	n := len(data) / 8
 	visited := make(map[uint64]bool, n)
 	addr := uint64(dataBase)
@@ -205,15 +199,38 @@ func TestDeterministicBuild(t *testing.T) {
 		t.Fatal("segment count differs between builds")
 	}
 	for i := range a.Segments {
-		if a.Segments[i].Addr != b.Segments[i].Addr || len(a.Segments[i].Data) != len(b.Segments[i].Data) {
-			t.Fatal("segments differ between builds")
-		}
-		for j := range a.Segments[i].Data {
-			if a.Segments[i].Data[j] != b.Segments[i].Data[j] {
-				t.Fatalf("segment %d differs at byte %d", i, j)
-			}
+		sa, sb := a.Segments[i], b.Segments[i]
+		if sa.Addr != sb.Addr || sa.Len() != sb.Len() || !bytes.Equal(sa.Bytes(), sb.Bytes()) {
+			t.Fatalf("segment %d at %#x differs between builds", i, sa.Addr)
 		}
 	}
+	// Both builds generate from the memoized skeleton; a fresh
+	// derivation must produce the same table.
+	k := p.tableKey()
+	if k.skeleton() != k.skeleton() {
+		t.Fatal("catalog skeleton is not memoized")
+	}
+	fresh := make([]byte, p.Footprint)
+	k.derive().fill(0, fresh)
+	if !bytes.Equal(dataSegment(t, a).Bytes(), fresh) {
+		t.Fatal("memoized data table differs from a fresh derivation")
+	}
+}
+
+// dataSegment returns prog's data table segment, which Build emits in
+// generated form.
+func dataSegment(t testing.TB, prog *asm.Program) asm.Segment {
+	t.Helper()
+	for _, s := range prog.Segments {
+		if s.Addr == dataBase {
+			if s.Fill == nil {
+				t.Fatal("data segment is not generated")
+			}
+			return s
+		}
+	}
+	t.Fatal("no data segment")
+	return asm.Segment{}
 }
 
 func TestValidateRejectsBadParams(t *testing.T) {
