@@ -29,7 +29,6 @@ import (
 	// Blank imports register the timing cores with the engine layer; the
 	// public API never names a core package.
 	_ "fxa/internal/core"
-	_ "fxa/internal/dualissue"
 	_ "fxa/internal/inorder"
 )
 
@@ -121,7 +120,7 @@ var (
 func Models() []Model { return config.Models() }
 
 // AllModels returns every named model across all registered core kinds:
-// the paper's five plus DUAL-SI and DUAL (internal/dualissue).
+// the paper's five plus DUAL-SI and DUAL (internal/inorder).
 func AllModels() []Model { return config.AllModels() }
 
 // ModelByName resolves "BIG", "HALF", "LITTLE", "BIG+FX", "HALF+FX",

@@ -9,9 +9,6 @@ import (
 	"fxa/internal/engine"
 	"fxa/internal/report"
 	"fxa/internal/workload"
-
-	// The dual-issue kind joins the landscape through the registry.
-	_ "fxa/internal/dualissue"
 )
 
 // LandscapePoint is one model's position in the energy/performance

@@ -15,8 +15,8 @@ type CoreKind int
 
 const (
 	OutOfOrder       CoreKind = iota // internal/core
-	InOrder                          // internal/inorder
-	DualIssueInOrder                 // internal/dualissue
+	InOrder                          // internal/inorder, any-pair issue
+	DualIssueInOrder                 // internal/inorder, cross-domain INT/FP pairing policy
 )
 
 // String returns the kind's registry name, matching what engine.Kinds and

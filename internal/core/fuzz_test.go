@@ -14,7 +14,6 @@ import (
 
 	// Register the non-out-of-order kinds so the registry-driven fuzz
 	// variants can construct them through engine.New.
-	_ "fxa/internal/dualissue"
 	_ "fxa/internal/inorder"
 )
 

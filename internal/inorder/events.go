@@ -22,7 +22,8 @@ func (co *Core) registerSkipSources() {
 // first functional unit in its class pool to free up. All of these are
 // finite absolute cycles. (The per-cycle memory-port limit needs no
 // candidate: memPortsThisCycle > 0 implies an issue happened this cycle,
-// which marked the cycle active.)
+// which marked the cycle active. Neither does the cross-domain pairing
+// policy: an idle cycle issued nothing, and it never constrains slot 0.)
 func (co *Core) headEvents(ev func(int64)) {
 	if co.queue.Len() == 0 {
 		return

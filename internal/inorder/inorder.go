@@ -1,10 +1,19 @@
-// Package inorder implements the cycle-level timing model of the LITTLE
-// core of Table I: a dual-issue in-order superscalar (Cortex-A53-class)
-// with a scoreboarded register file, in-order issue that stalls on RAW/WAW
-// hazards and structural conflicts, and an 8-cycle branch misprediction
-// penalty. Unlike FXA's IXU — which lets not-ready instructions flow
-// through as NOPs — an in-order pipeline stalls when the oldest
-// instruction is not ready (Section II-B of the paper).
+// Package inorder implements the scoreboarded in-order timing core.
+// With config.InOrder it is the LITTLE core of Table I: a dual-issue
+// in-order superscalar (Cortex-A53-class) with a scoreboarded register
+// file, in-order issue that stalls on RAW/WAW hazards and structural
+// conflicts, and an 8-cycle branch misprediction penalty. Unlike FXA's
+// IXU — which lets not-ready instructions flow through as NOPs — an
+// in-order pipeline stalls when the oldest instruction is not ready
+// (Section II-B of the paper).
+//
+// With config.DualIssueInOrder (models DUAL and DUAL-SI) the same core
+// runs a cross-domain pairing policy: the second issue slot accepts only
+// an instruction from the opposite integer/floating-point domain — the
+// pseudo-dual-issue discipline of Colagrande & Benini ("Low-Overhead
+// Dual-Issue", arXiv:2503.20590), where an integer control core and an FP
+// datapath each keep single-ported register files and a cycle pairs at
+// most one instruction from each side.
 //
 // The fetch/predict/decode path, the idle-skip machinery and the result
 // assembly are the shared stage library (internal/pipeline, DESIGN.md
@@ -37,9 +46,33 @@ func (co *Core) capQ() int {
 	return (co.cfg.FrontendDepth + issueDepth + 2) * co.cfg.FetchWidth
 }
 
+// fpDomain classifies an execution class into the floating-point domain;
+// everything else — integer ALU ops, loads, stores, branches — belongs to
+// the integer side, which also hosts address generation and control flow
+// (the paper's integer core does all memory sequencing).
+func fpDomain(cls isa.Class) bool {
+	return cls == isa.ClassFP || cls == isa.ClassFPMul || cls == isa.ClassFPDiv
+}
+
+// PairStats are the pairing diagnostics: how often the second slot
+// filled, and why it did not. Deliberately not part of stats.Counters
+// (whose JSON form the goldens pin byte-exactly) — the same convention as
+// SkipStats.
+type PairStats struct {
+	// PairedCycles counts cycles that issued two instructions (one per
+	// domain under the cross-domain policy).
+	PairedCycles int64
+	// SingleCycles counts cycles that issued exactly one instruction.
+	SingleCycles int64
+	// DomainBlocked counts second-slot rejections because the next
+	// instruction was in the same domain as the first (always 0 without
+	// the cross-domain policy).
+	DomainBlocked int64
+}
+
 // Core is one in-order core simulation. It implements engine.Engine
 // (plus the Aborter and OccupancyReporter extensions) and registers
-// itself for config.InOrder from init.
+// itself for config.InOrder and config.DualIssueInOrder from init.
 type Core struct {
 	cfg config.Model
 	mem *mem.Hierarchy
@@ -65,34 +98,44 @@ type Core struct {
 	memPortsThisCycle int
 	lastDone          int64
 
+	// crossDomain is the pairing policy: the second issue slot accepts
+	// only the opposite INT/FP domain (config.DualIssueInOrder).
+	crossDomain bool
+	pair        PairStats
+
 	// skip is the shared idle-cycle skipper; this core's event sources
 	// are registered at construction (events.go).
 	skip   pipeline.Skipper
 	active bool
 }
 
-// init registers the in-order core with the engine layer, so any package
-// that (blank-)imports internal/inorder can construct it through
-// engine.New without referring to this package's API.
+// init registers the in-order core for both in-order kinds with the
+// engine layer, so any package that (blank-)imports internal/inorder can
+// construct it through engine.New without referring to this package's
+// API.
 func init() {
-	engine.Register(config.InOrder, func(m config.Model, t engine.Trace) (engine.Engine, error) {
-		return New(m, t)
-	})
+	for _, k := range []config.CoreKind{config.InOrder, config.DualIssueInOrder} {
+		engine.Register(k, func(m config.Model, t engine.Trace) (engine.Engine, error) {
+			return New(m, t)
+		})
+	}
 }
 
-// New builds an in-order core simulation for model cfg fed by trace.
+// New builds an in-order core simulation for model cfg fed by trace. A
+// config.DualIssueInOrder model selects the cross-domain pairing policy.
 func New(cfg config.Model, trace engine.Trace) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Kind != config.InOrder {
+	if cfg.Kind != config.InOrder && cfg.Kind != config.DualIssueInOrder {
 		return nil, fmt.Errorf("inorder: model %s is not an in-order core", cfg.Name)
 	}
 	co := &Core{
-		cfg: cfg,
-		mem: mem.NewHierarchy(cfg.Mem),
-		bp:  bpred.New(cfg.Bpred),
-		fu:  pipeline.NewFUPools(cfg.IntFUs, cfg.MemFUs, cfg.FPFUs),
+		cfg:         cfg,
+		mem:         mem.NewHierarchy(cfg.Mem),
+		bp:          bpred.New(cfg.Bpred),
+		fu:          pipeline.NewFUPools(cfg.IntFUs, cfg.MemFUs, cfg.FPFUs),
+		crossDomain: cfg.Kind == config.DualIssueInOrder,
 	}
 	co.queue = pipeline.NewUopRing(co.capQ())
 	// CondBTBAlways=false: the in-order front end short-circuits the BTB
@@ -111,6 +154,9 @@ func (co *Core) SetIdleSkip(on bool) { co.skip.Enabled = on }
 // across how many idle spans. Deliberately not part of stats.Counters:
 // results must be bit-identical with skipping on and off.
 func (co *Core) SkipStats() (cycles, spans int64) { return co.skip.SkipStats() }
+
+// Pairing reports the pairing diagnostics collected so far.
+func (co *Core) Pairing() PairStats { return co.pair }
 
 // Run simulates to completion and returns the collected statistics. It
 // delegates to engine.Drive, so cancelling ctx interrupts the run within
@@ -199,39 +245,55 @@ func (co *Core) fetch() {
 
 // issue retires up to IssueWidth instructions per cycle strictly in
 // program order, stalling the whole pipeline on the first hazard — the
-// behaviour the paper contrasts with the IXU's flow-through NOPs.
+// behaviour the paper contrasts with the IXU's flow-through NOPs. Under
+// the cross-domain policy, once an instruction has issued this cycle the
+// next may follow only if it belongs to the opposite INT/FP domain. The
+// first slot is never constrained, so the idle-skip head-event bound
+// (events.go) holds for both policies.
 func (co *Core) issue() {
 	issued := 0
+	firstFP := false
+slots:
 	for issued < co.cfg.IssueWidth && co.queue.Len() > 0 {
 		u := co.queue.Front()
 		if co.cycle < u.FetchCycle+int64(co.cfg.FrontendDepth)+issueDepth {
-			return
+			break
 		}
 		cls := u.St.Cls
+
+		// Pairing: the second slot must come from the opposite domain
+		// (in-order, so a same-domain head stalls the cycle).
+		if co.crossDomain && issued == 1 && fpDomain(cls) == firstFP {
+			co.pair.DomainBlocked++
+			break
+		}
 
 		// RAW: all sources ready.
 		for _, r := range u.St.Srcs[:u.St.NSrc] {
 			if co.regReady[r.File][r.Index] > co.cycle {
-				return
+				break slots
 			}
 		}
 		// WAW interlock: pending write to the destination must complete.
 		dst, hasDst := u.St.Dst, u.St.HasDst
 		if hasDst && co.regReady[dst.File][dst.Index] > co.cycle {
-			return
+			break
 		}
 		// Structural: FU availability.
 		pool := co.fu.Pool(cls)
 		fu := pipeline.FirstFree(pool, co.cycle)
 		if fu < 0 {
-			return
+			break
 		}
 		if (u.St.IsLoad || u.St.IsStore) && co.memPortsThisCycle >= co.cfg.MemFUs {
-			return
+			break
 		}
 
 		// Issue.
 		co.queue.PopFront()
+		if issued == 0 {
+			firstFP = fpDomain(cls)
+		}
 		issued++
 		co.active = true
 		co.wd.Progress(co.cycle)
@@ -282,5 +344,11 @@ func (co *Core) issue() {
 
 		co.c.Committed++
 		co.c.CommittedByClass[cls]++
+	}
+	switch issued {
+	case 1:
+		co.pair.SingleCycles++
+	case 2:
+		co.pair.PairedCycles++
 	}
 }

@@ -6,11 +6,14 @@ import (
 
 	"fxa/internal/asm"
 	"fxa/internal/config"
-	"fxa/internal/core"
 	"fxa/internal/emu"
+	"fxa/internal/engine"
 )
 
-func runLittle(t *testing.T, src string) core.Result {
+// run simulates src to completion on m, checks the committed count
+// against the functional emulator, and returns the core (for its
+// diagnostics) and its result.
+func run(t *testing.T, m config.Model, src string) (*Core, engine.Result) {
 	t.Helper()
 	p, err := asm.Assemble(src)
 	if err != nil {
@@ -21,7 +24,7 @@ func runLittle(t *testing.T, src string) core.Result {
 	if err != nil {
 		t.Fatalf("emulate: %v", err)
 	}
-	co, err := New(config.Little(), emu.NewStream(emu.New(p), 0))
+	co, err := New(m, emu.NewStream(emu.New(p), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +33,14 @@ func runLittle(t *testing.T, src string) core.Result {
 		t.Fatal(err)
 	}
 	if res.Counters.Committed != want {
-		t.Fatalf("committed %d, emulator executed %d", res.Counters.Committed, want)
+		t.Fatalf("%s: committed %d, emulator executed %d", m.Name, res.Counters.Committed, want)
 	}
+	return co, res
+}
+
+func runLittle(t *testing.T, src string) engine.Result {
+	t.Helper()
+	_, res := run(t, config.Little(), src)
 	return res
 }
 
@@ -151,6 +160,22 @@ func TestLittleRejectsOoOModel(t *testing.T) {
 	}
 }
 
+// TestKindChecked pins construction: New accepts both in-order kinds,
+// and Validate bounds the DUAL issue width at the pairing policy's two
+// slots.
+func TestKindChecked(t *testing.T) {
+	for _, m := range []config.Model{config.Little(), config.Dual(), config.DualSI()} {
+		if _, err := New(m, nil); err != nil {
+			t.Errorf("inorder.New rejected %s: %v", m.Name, err)
+		}
+	}
+	m := config.Dual()
+	m.IssueWidth = 3
+	if err := m.Validate(); err == nil {
+		t.Error("Validate accepted IssueWidth 3 on a dual-issue core")
+	}
+}
+
 func TestLittleFUCounts(t *testing.T) {
 	// One mem FU: back-to-back independent loads cannot dual-issue.
 	res := runLittle(t, `
@@ -169,5 +194,121 @@ buf:	.space 64
 	// 4 loads on 1 port -> at least 4 cycles per iteration of 6 insts.
 	if ipc := res.Counters.IPC(); ipc > 1.5 {
 		t.Errorf("IPC %.2f too high for single memory port", ipc)
+	}
+}
+
+// mixedSrc interleaves an integer chain with an independent FP chain, so
+// every integer instruction has an FP partner available for the second
+// slot.
+const mixedSrc = `
+	li r21, 2000
+	li r1, 1
+	li r29, 0x3a000
+	ldf f1, 0(r29)
+	ldf f2, 8(r29)
+loop:	add r2, r2, r1
+	fadd f3, f1, f2
+	add r4, r4, r1
+	fadd f5, f1, f2
+	addi r21, r21, -1
+	bgt r21, loop
+	halt
+	.org 0x3a000
+	.double 1.5
+	.double 2.25
+`
+
+// intSrc is a pure integer chain: the cross-domain rule never lets the
+// second slot fill, so DUAL behaves exactly like its single-issue
+// baseline.
+const intSrc = `
+	li r21, 2000
+	li r1, 1
+loop:	add r2, r2, r1
+	add r3, r3, r1
+	add r4, r4, r1
+	add r5, r5, r1
+	addi r21, r21, -1
+	bgt r21, loop
+	halt
+`
+
+// TestPairingSpeedsUpMixedCode pins the policy's reason to exist: on
+// interleaved INT/FP code the dual-issue core must beat its single-issue
+// baseline, and the win must come from paired cycles.
+func TestPairingSpeedsUpMixedCode(t *testing.T) {
+	co, dual := run(t, config.Dual(), mixedSrc)
+	_, si := run(t, config.DualSI(), mixedSrc)
+	if dual.Counters.Committed != si.Counters.Committed {
+		t.Fatalf("committed drift: DUAL %d, DUAL-SI %d", dual.Counters.Committed, si.Counters.Committed)
+	}
+	if dual.Counters.Cycles >= si.Counters.Cycles {
+		t.Errorf("mixed INT/FP code: DUAL took %d cycles, single-issue %d — pairing bought nothing",
+			dual.Counters.Cycles, si.Counters.Cycles)
+	}
+	if p := co.Pairing(); p.PairedCycles == 0 {
+		t.Errorf("no paired cycles on interleaved INT/FP code: %+v", p)
+	}
+}
+
+// TestPairingRejectsSameDomain pins the constraint side: a pure integer
+// stream cannot use the second slot, DomainBlocked counts the rejections,
+// and the cycle count matches the single-issue baseline exactly.
+func TestPairingRejectsSameDomain(t *testing.T) {
+	co, dual := run(t, config.Dual(), intSrc)
+	_, si := run(t, config.DualSI(), intSrc)
+	if dual.Counters.Cycles != si.Counters.Cycles {
+		t.Errorf("pure integer code: DUAL %d cycles, DUAL-SI %d — second slot must be unusable",
+			dual.Counters.Cycles, si.Counters.Cycles)
+	}
+	p := co.Pairing()
+	if p.PairedCycles != 0 {
+		t.Errorf("paired %d cycles on a single-domain stream", p.PairedCycles)
+	}
+	if p.DomainBlocked == 0 {
+		t.Error("no DomainBlocked rejections recorded on a single-domain stream")
+	}
+}
+
+// TestLittlePairsAnyDomain pins that the cross-domain policy stays off
+// LITTLE: on the same pure integer stream LITTLE never rejects a
+// same-domain second slot and does pair.
+func TestLittlePairsAnyDomain(t *testing.T) {
+	co, _ := run(t, config.Little(), intSrc)
+	p := co.Pairing()
+	if p.DomainBlocked != 0 {
+		t.Errorf("LITTLE recorded %d DomainBlocked rejections; the pairing policy leaked", p.DomainBlocked)
+	}
+	if p.PairedCycles == 0 {
+		t.Errorf("LITTLE paired no cycles on an independent integer stream: %+v", p)
+	}
+}
+
+// TestSkipStatsAdvance sanity-checks the shared skipper wiring: a
+// memory-bound stream with a single MSHR must actually skip idle spans.
+func TestSkipStatsAdvance(t *testing.T) {
+	src := `
+	li r21, 200
+	li r1, 0x100000
+	li r2, 4096
+loop:	ld r3, 0(r1)
+	add r1, r1, r2
+	addi r21, r21, -1
+	bgt r21, loop
+	halt
+	`
+	m := config.Dual()
+	m.MSHRs = 1
+	prog := asm.MustAssemble(src)
+	co, err := New(m, emu.NewStream(emu.New(prog), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.SetIdleSkip(true)
+	if _, err := co.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if cycles, spans := co.SkipStats(); cycles == 0 || spans == 0 {
+		t.Errorf("no idle cycles skipped on a miss-serialized stream (cycles=%d spans=%d)", cycles, spans)
 	}
 }

@@ -1,13 +1,13 @@
 // Package pipeline is the shared stage library of the cycle-level timing
 // cores (DESIGN.md §8.9). The paper's evaluation compares many models
-// across multiple timing substrates — the out-of-order/FXA core of
-// internal/core, the in-order LITTLE core of internal/inorder, and the
-// dual-issue in-order core of internal/dualissue — and before this layer
-// existed each of them hand-rolled the same front half: batched trace
-// consumption, per-PC decode-template stamping with self-modifying-code
-// hygiene, the branch-predictor consultation and redirect/squash contract
-// of the fetch stage, and a private copy of the event-driven idle-cycle
-// skipping machinery of PR 8.
+// across two timing substrates — the out-of-order/FXA core of
+// internal/core and the scoreboarded in-order core of internal/inorder
+// (LITTLE, DUAL, DUAL-SI) — and before this layer existed each of them
+// hand-rolled the same front half: batched trace consumption, per-PC
+// decode-template stamping with self-modifying-code hygiene, the
+// branch-predictor consultation and redirect/squash contract of the fetch
+// stage, and a private copy of the event-driven idle-cycle skipping
+// machinery (DESIGN.md §8.8).
 //
 // The package provides three building blocks:
 //

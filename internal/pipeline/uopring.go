@@ -6,7 +6,7 @@ import (
 )
 
 // InOrderUop is one fetched, not yet issued instruction of a scoreboarded
-// in-order core (internal/inorder, internal/dualissue).
+// in-order core (internal/inorder).
 type InOrderUop struct {
 	Rec emu.Record
 	// St is the static decode template stamped at fetch from the per-PC

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fxa/internal/config"
-	_ "fxa/internal/dualissue"
 	"fxa/internal/engine"
 	_ "fxa/internal/inorder"
 	"fxa/internal/pipeline"

@@ -68,6 +68,23 @@ func TestSamplingOnInOrderCore(t *testing.T) {
 	}
 }
 
+// TestSamplingEveryModel runs a tiny sampled schedule on every named
+// model. The package's own blank imports must register every core kind:
+// nothing else in this test binary imports a timing core.
+func TestSamplingEveryModel(t *testing.T) {
+	w, _ := workload.ByName("namd")
+	for _, m := range config.AllModels() {
+		sum, err := Run(context.Background(), m, w, Config{Intervals: 2, IntervalInsts: 2_000})
+		if err != nil {
+			t.Errorf("%s: %v", m.Name, err)
+			continue
+		}
+		if len(sum.PerInterval) != 2 || sum.MeanIPC <= 0 {
+			t.Errorf("%s: %d windows, mean IPC %.3f", m.Name, len(sum.PerInterval), sum.MeanIPC)
+		}
+	}
+}
+
 func TestSamplingValidation(t *testing.T) {
 	w, _ := workload.ByName("gcc")
 	if _, err := Run(context.Background(), config.Big(), w, Config{Intervals: 0, IntervalInsts: 100}); err == nil {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -60,6 +62,75 @@ func TestSubmitBodyCap(t *testing.T) {
 			}
 			if tc.want == http.StatusRequestEntityTooLarge && er.Error != errSpecTooLarge.Error() {
 				t.Errorf("%s, %s: error %q, want %q", door.name, tc.name, er.Error, errSpecTooLarge)
+			}
+		}
+	}
+}
+
+// TestJobIntervalCeiling checks the interval ceiling: Validate rejects a
+// streaming spec whose max_insts / interval_insts (rounded up) exceeds
+// maxJobIntervals, and a sampled spec with more windows than that, with
+// errTooManyIntervals; specs exactly at the ceiling pass.
+func TestJobIntervalCeiling(t *testing.T) {
+	stream := func(maxInsts, every uint64) JobSpec {
+		s := quickSpec("ceiling")
+		s.MaxInsts, s.IntervalInsts = maxInsts, every
+		return s
+	}
+	sample := func(windows int) JobSpec {
+		s := quickSpec("ceiling")
+		s.Sample = &SampleSpec{Intervals: windows, IntervalInsts: 2000}
+		return s
+	}
+	cases := []struct {
+		name   string
+		spec   JobSpec
+		reject bool
+	}{
+		{"stream at the ceiling", stream(maxJobIntervals*8, 8), false},
+		{"stream one partial interval over", stream(maxJobIntervals*8+1, 8), true},
+		{"one event per instruction", stream(1_000_000_000, 1), true},
+		{"largest budget, unit intervals", stream(math.MaxUint64, 1), true},
+		{"no streaming, huge budget", stream(math.MaxUint64, 0), false},
+		{"sample at the ceiling", sample(maxJobIntervals), false},
+		{"sample one window over", sample(maxJobIntervals + 1), true},
+		{"sample with huge window count", sample(math.MaxInt), true},
+	}
+	for _, tc := range cases {
+		err := tc.spec.Validate()
+		if tc.reject != errors.Is(err, errTooManyIntervals) {
+			t.Errorf("%s: Validate = %v, want rejection %v", tc.name, err, tc.reject)
+		}
+	}
+}
+
+// TestSubmitRejectsTooManyIntervals sends the adversarial specs through
+// both front doors: each is answered 400 with errTooManyIntervals before
+// anything is queued.
+func TestSubmitRejectsTooManyIntervals(t *testing.T) {
+	_, shard, _ := newFabric(t, Config{Workers: 1})
+	_, _, router := newCluster(t, 1)
+
+	stream := quickSpec("adversary")
+	stream.MaxInsts, stream.IntervalInsts = 1_000_000_000, 1
+	sample := quickSpec("adversary")
+	sample.Sample = &SampleSpec{Intervals: maxJobIntervals + 1, IntervalInsts: 2000}
+
+	for _, door := range []struct{ name, url string }{{"shard", shard.URL}, {"router", router.BaseURL}} {
+		for _, spec := range []JobSpec{stream, sample} {
+			body, err := json.Marshal(&spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(door.url+"/v1/jobs", "application/json", strings.NewReader(string(body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var er ErrorReply
+			_ = json.NewDecoder(resp.Body).Decode(&er)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(er.Error, errTooManyIntervals.Error()) {
+				t.Errorf("%s, %s: status %d (%q), want 400 with %q", door.name, body, resp.StatusCode, er.Error, errTooManyIntervals)
 			}
 		}
 	}

@@ -120,6 +120,17 @@ func (s *SampleSpec) Config() sampling.Config {
 	}
 }
 
+// maxJobIntervals caps the interval events of a streaming job
+// (max_insts / interval_insts, rounded up) and the windows of a sampled
+// job. A job's event log is retained whole for replay, so without a
+// ceiling a spec with interval_insts: 1 would grow it by one event per
+// simulated instruction; a sampled job's summary keeps one result per
+// window.
+const maxJobIntervals = 1024
+
+// errTooManyIntervals rejects a spec over maxJobIntervals (400).
+var errTooManyIntervals = fmt.Errorf("serve: job spec asks for more than %d intervals", maxJobIntervals)
+
 // Validate checks a spec is runnable (names are resolved separately).
 func (s *JobSpec) Validate() error {
 	if s.Model == "" || s.Workload == "" {
@@ -129,10 +140,22 @@ func (s *JobSpec) Validate() error {
 		if s.Sample.Intervals <= 0 || s.Sample.IntervalInsts == 0 {
 			return fmt.Errorf("serve: sample spec needs positive intervals and window length")
 		}
+		if s.Sample.Intervals > maxJobIntervals {
+			return fmt.Errorf("%w (sample intervals %d)", errTooManyIntervals, s.Sample.Intervals)
+		}
 		return nil
 	}
 	if s.MaxInsts == 0 {
 		return fmt.Errorf("serve: job spec needs max_insts > 0 (unbounded jobs would pin a worker forever)")
+	}
+	if s.IntervalInsts > 0 {
+		n := s.MaxInsts / s.IntervalInsts
+		if s.MaxInsts%s.IntervalInsts != 0 {
+			n++
+		}
+		if n > maxJobIntervals {
+			return fmt.Errorf("%w (max_insts %d / interval_insts %d)", errTooManyIntervals, s.MaxInsts, s.IntervalInsts)
+		}
 	}
 	return nil
 }
