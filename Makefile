@@ -4,6 +4,7 @@
 #
 #   make tier1   build + vet + full test suite + race check of the
 #                concurrent packages (the sweep engine and its users)
+#                + the examples smoke
 #   make check   tier1 + lint — the pre-merge gate
 #   make lint    gofmt -l check, go vet, staticcheck (skipped with a
 #                note when staticcheck is not installed; CI installs it)
@@ -32,6 +33,8 @@
 #   make cluster-chaos  the nightly chaos loop: randomized seeded
 #                shard kills (CHAOS_ITERS/CHAOS_SEED) plus a
 #                router-restart case; logs kept in CHAOS_WORK
+#   make examples-smoke  build and run every program under examples/;
+#                fail on a non-zero exit
 #   make ci-sanity  fail if any CI workflow invokes a make target that
 #                does not exist in this Makefile
 #   make sampling-validate  the sampling differential-validation suite
@@ -75,7 +78,7 @@ STATICCHECK ?= staticcheck
 .PHONY: tier1 check build vet test race race-full lint fmt-check \
 	bench bench-core bench-emu bench-figures bench-gate bench-gate-full \
 	bench-gate-update fuzz serve-smoke cluster-smoke cluster-chaos \
-	ci-sanity sampling-validate sampling-long
+	ci-sanity sampling-validate sampling-long examples-smoke
 
 # bench-core profiling knob: when set, the core suite also writes a CPU
 # profile there (e.g. `make bench-core BENCH_CORE_CPUPROFILE=core.pprof`;
@@ -87,7 +90,7 @@ ifneq ($(BENCH_CORE_CPUPROFILE),)
 BENCH_CORE_FLAGS += -cpuprofile $(BENCH_CORE_CPUPROFILE)
 endif
 
-tier1: build vet test race
+tier1: build vet test race examples-smoke
 
 # check is the pre-merge gate: tier1 plus lint, named for CI muscle
 # memory.
@@ -213,6 +216,17 @@ cluster-smoke:
 # kill-and-restart case that must be served from the shards' caches.
 cluster-chaos:
 	./scripts/cluster_chaos.sh
+
+# The runnable examples, built and run end to end: compiling them only
+# proves the API still type-checks, running them proves it still
+# simulates (a faulting run exits non-zero).
+EXAMPLES = quickstart biglittle compiler ixuexplorer traceview
+
+examples-smoke:
+	@for e in $(EXAMPLES); do \
+		echo "examples-smoke: $$e"; \
+		$(GO) run ./examples/$$e >/dev/null || { echo "examples-smoke: $$e failed" >&2; exit 1; }; \
+	done
 
 # Workflow/Makefile drift gate: every `make <target>` in the CI
 # workflows must exist here.

@@ -404,7 +404,7 @@ func main() {
 		} else {
 			var err error
 			var stats fxa.SweepStats
-			ev, stats, err = fxa.RunEvaluationSweepWarm(ctx, *warmup, *n, progressOpts("main sweep"))
+			ev, stats, err = fxa.RunEvaluation(ctx, *warmup, *n, progressOpts("main sweep"))
 			if err != nil {
 				fatal(err)
 			}
@@ -430,7 +430,7 @@ func main() {
 	}
 	if wants("fig11") {
 		localNote("figure 11 sweep")
-		s, stats, err := fxa.RunFigure11Sweep(ctx, *n, progressOpts("figure 11 sweep"))
+		s, stats, err := fxa.RunFigure11(ctx, *n, progressOpts("figure 11 sweep"))
 		if err != nil {
 			fatal(err)
 		}
@@ -439,7 +439,7 @@ func main() {
 	}
 	if wants("fig12") || wants("fig13") {
 		localNote("figure 12/13 sweep")
-		f12, f13, stats, err := fxa.RunFigure1213Sweep(ctx, *n, progressOpts("figure 12/13 sweep"))
+		f12, f13, stats, err := fxa.RunFigure1213(ctx, *n, progressOpts("figure 12/13 sweep"))
 		if err != nil {
 			fatal(err)
 		}
@@ -669,16 +669,11 @@ func runIntervals(modelName, workloadName string, n, warmup, every uint64, forma
 	if err != nil {
 		return err
 	}
-	trace, err := w.NewTraceWarm(warmup, n)
+	res, err := fxa.Run(context.Background(), fxa.Options{
+		Model: m, Workload: w, Warmup: warmup, MaxInsts: n, IntervalInsts: every,
+	})
 	if err != nil {
 		return err
-	}
-	res, err := fxa.RunTraceIntervals(context.Background(), m, trace, every)
-	if err != nil {
-		return fmt.Errorf("%s on %s: %w", m.Name, w.Name, err)
-	}
-	if terr := trace.Err(); terr != nil {
-		return fmt.Errorf("%s trace: %w", w.Name, terr)
 	}
 	switch format {
 	case "json":

@@ -13,6 +13,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -20,9 +21,8 @@ import (
 
 	"fxa"
 	"fxa/internal/asm"
-	"fxa/internal/config"
-	"fxa/internal/core"
 	"fxa/internal/emu"
+	"fxa/internal/engine"
 	"fxa/internal/isa"
 	"fxa/internal/pipetrace"
 )
@@ -78,52 +78,46 @@ func main() {
 		return
 	}
 
-	var res fxa.Result
-	if *pipeview > 0 {
-		if m.Kind != config.OutOfOrder {
-			fatal(fmt.Errorf("-pipeview requires an out-of-order model"))
-		}
-		co, err := core.New(m, stream)
-		if err != nil {
-			fatal(err)
-		}
-		tx := pipetrace.NewText(*pipeview)
-		co.SetProbe(tx)
-		res, err = co.Run(context.Background())
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(tx)
-		fmt.Println()
-		printResult(m, res)
-		return
+	e, err := engine.New(m, stream)
+	if err != nil {
+		fatal(err)
 	}
-	if *kanata != "" {
-		if m.Kind != config.OutOfOrder {
-			fatal(fmt.Errorf("-kanata requires an out-of-order model"))
+	var finish func() error // flushes the probe after the run
+	if *pipeview > 0 || *kanata != "" {
+		pa, ok := e.(engine.ProbeAttacher)
+		if !ok {
+			fatal(fmt.Errorf("-pipeview and -kanata need a core that reports pipeline events; %s (%v) does not", m.Name, m.Kind))
 		}
-		f, err := os.Create(*kanata)
-		if err != nil {
-			fatal(err)
+		if *pipeview > 0 {
+			tx := pipetrace.NewText(*pipeview)
+			pa.SetProbe(tx)
+			finish = func() error { fmt.Println(tx); return nil }
+		} else {
+			f, err := os.Create(*kanata)
+			if err != nil {
+				fatal(err)
+			}
+			k := pipetrace.NewKanata(f)
+			pa.SetProbe(k)
+			finish = func() error {
+				err := errors.Join(k.Close(), f.Close())
+				if err == nil {
+					fmt.Printf("wrote Kanata trace to %s\n\n", *kanata)
+				}
+				return err
+			}
 		}
-		defer f.Close()
-		k := pipetrace.NewKanata(f)
-		co, err := core.New(m, stream)
-		if err != nil {
-			fatal(err)
-		}
-		co.SetProbe(k)
-		res, err = co.Run(context.Background())
-		if err != nil {
-			fatal(err)
-		}
-		if err := k.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote Kanata trace to %s\n\n", *kanata)
-	} else {
-		res, err = fxa.RunTrace(m, stream)
-		if err != nil {
+	}
+	res, err := engine.Drive(context.Background(), e, engine.Options{})
+	if err == nil {
+		// A stream that stopped on an emulator fault only looks finished.
+		err = stream.Err()
+	}
+	if err != nil {
+		fatal(err)
+	}
+	if finish != nil {
+		if err := finish(); err != nil {
 			fatal(err)
 		}
 	}

@@ -1,14 +1,16 @@
 package fxa
 
-// Regression test for RunCompiled's trace-error surfacing. An emulator
-// fault mid-run (here: execution reaching an undecodable word after the
-// kernel overwrites its own code) ends the trace silently from the
-// timing model's point of view — the stream just stops producing
-// records, the pipeline drains, and RunCompiled used to return the
-// truncated Result as if the kernel had finished. Run and RunWarm
-// checked trace.Err(); RunCompiled did not.
+// Regression test for trace-error surfacing on the kernel source. An
+// emulator fault mid-run (here: execution reaching an undecodable word
+// after the kernel overwrites its own code) ends the trace silently from
+// the timing model's point of view — the stream just stops producing
+// records, the pipeline drains, and the truncated Result looks like a
+// finished kernel. engine.Run checks the trace's error after the drain;
+// this pins that a Kernel run goes through that check and names the
+// kernel.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -51,9 +53,9 @@ for i = 0 .. 4096 {
 }
 `, bad>>14, bad&0x3fff),
 	}
-	_, err := RunCompiled(HalfFX(), clobber, 200_000)
+	_, err := Run(context.Background(), Options{Model: HalfFX(), Kernel: clobber})
 	if err == nil {
-		t.Fatal("RunCompiled returned no error for a trace that faulted mid-run")
+		t.Fatal("Run returned no error for a kernel whose trace faulted mid-run")
 	}
 	if !strings.Contains(err.Error(), "trace") {
 		t.Errorf("error %q does not attribute the failure to the trace", err)

@@ -15,6 +15,7 @@ package fxa
 // diverges here even when its cycle counts look plausible.
 
 import (
+	"context"
 	"testing"
 
 	"fxa/internal/emu"
@@ -38,12 +39,10 @@ func TestDifferentialAllModels(t *testing.T) {
 			t.Run(name+"/"+m.Name, func(t *testing.T) {
 				machine := emu.New(prog)
 				stream := emu.NewStream(machine, diffInsts)
-				res, err := RunTrace(m, stream)
+				// Run fails on a stream that stopped on a fault.
+				res, err := Run(context.Background(), Options{Model: m, Trace: stream})
 				if err != nil {
 					t.Fatal(err)
-				}
-				if serr := stream.Err(); serr != nil {
-					t.Fatalf("stream error: %v", serr)
 				}
 
 				// The timing model must retire exactly the architectural
@@ -108,7 +107,7 @@ func TestDifferentialToCompletion(t *testing.T) {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
 			machine := emu.New(prog)
-			res, err := RunTrace(m, emu.NewStream(machine, 0))
+			res, err := Run(context.Background(), Options{Model: m, Trace: emu.NewStream(machine, 0)})
 			if err != nil {
 				t.Fatal(err)
 			}

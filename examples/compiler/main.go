@@ -6,11 +6,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"fxa"
-	"fxa/internal/emu"
 	"fxa/internal/minic"
 )
 
@@ -45,14 +45,10 @@ func main() {
 	}
 	fmt.Printf("compiled %d bytes of FXK into %d bytes of assembly\n\n", len(kernel), len(asmText))
 
-	prog, err := minic.Compile(kernel)
-	if err != nil {
-		log.Fatal(err)
-	}
-
+	hist := fxa.CompiledWorkload{Name: "histogram", Source: kernel}
 	fmt.Printf("%-8s %10s %10s %10s %10s\n", "model", "cycles", "IPC", "IXU rate", "energy")
 	for _, m := range fxa.Models() {
-		res, err := fxa.RunTrace(m, emu.NewStream(emu.New(prog), 0))
+		res, err := fxa.Run(context.Background(), fxa.Options{Model: m, Kernel: hist})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,11 +20,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	big, err := fxa.Run(fxa.Big(), w, insts)
+	ctx := context.Background()
+	big, err := fxa.Run(ctx, fxa.Options{Model: fxa.Big(), Workload: w, MaxInsts: insts})
 	if err != nil {
 		log.Fatal(err)
 	}
-	halfFX, err := fxa.Run(fxa.HalfFX(), w, insts)
+	halfFX, err := fxa.Run(ctx, fxa.Options{Model: fxa.HalfFX(), Workload: w, MaxInsts: insts})
 	if err != nil {
 		log.Fatal(err)
 	}

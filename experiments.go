@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"fxa/internal/config"
 	"fxa/internal/emu"
 	"fxa/internal/energy"
+	"fxa/internal/engine"
 	"fxa/internal/sweep"
 )
 
@@ -108,36 +108,40 @@ func newCellTrace(m Model, w Workload, warmup, maxInsts uint64, ff *ffMeter) (*e
 	return emu.NewStream(machine, limit), nil
 }
 
+// runCell is the one simulation behind Run and every evaluation cell:
+// the cell's trace (newCellTrace) driven by engine.Run, which owns the
+// trace-fault check.
+func runCell(ctx context.Context, m Model, w Workload, warmup, maxInsts uint64, ff *ffMeter, opts engine.Options) (Result, error) {
+	trace, err := newCellTrace(m, w, warmup, maxInsts, ff)
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := engine.Run(ctx, m, trace, opts)
+	if err != nil {
+		return Result{}, fmt.Errorf("fxa: %s on %s: %w", m.Name, w.Name, err)
+	}
+	return res, nil
+}
+
 // runJob builds the sweep job for one (model, workload) evaluation cell.
+// The job's ctx reaches the engine layer, so cancelling the sweep
+// interrupts an in-flight simulation within a few thousand simulated
+// cycles instead of waiting it out.
 func runJob(m Model, w Workload, warmup, maxInsts uint64, ff *ffMeter) sweep.Job {
 	return sweep.Job{
 		Label:       w.Name + "/" + m.Name,
 		Fingerprint: simFingerprint{Kind: "run", Model: m, Workload: w, Warmup: warmup, MaxInsts: maxInsts},
 		Run: func(ctx context.Context) (Result, error) {
-			// The job's ctx reaches the engine layer, so cancelling the
-			// sweep interrupts an in-flight simulation within a few
-			// thousand simulated cycles instead of waiting it out.
-			trace, err := newCellTrace(m, w, warmup, maxInsts, ff)
-			if err != nil {
-				return Result{}, err
-			}
-			res, err := RunTraceContext(ctx, m, trace)
-			if err != nil {
-				return Result{}, fmt.Errorf("fxa: %s on %s: %w", m.Name, w.Name, err)
-			}
-			if terr := trace.Err(); terr != nil {
-				return Result{}, fmt.Errorf("fxa: %s trace: %w", w.Name, terr)
-			}
-			return res, nil
+			return runCell(ctx, m, w, warmup, maxInsts, ff, engine.Options{})
 		},
 	}
 }
 
 // EvaluationJob returns the sweep job for one (model, workload) cell —
-// the exact job RunEvaluationSweepWarm submits, fingerprint included, so
-// an external executor (the fxad daemon) shares cache identity with
-// local sweeps: a cell simulated by the CLI is a cache hit for the
-// daemon and vice versa.
+// the exact job RunEvaluation submits, fingerprint included, so an
+// external executor (the fxad daemon) shares cache identity with local
+// sweeps: a cell simulated by the CLI is a cache hit for the daemon and
+// vice versa.
 func EvaluationJob(m Model, w Workload, warmup, maxInsts uint64) SweepJob {
 	return runJob(m, w, warmup, maxInsts, nil)
 }
@@ -154,60 +158,25 @@ func EvaluationJob(m Model, w Workload, warmup, maxInsts uint64) SweepJob {
 func EvaluationJobIntervals(m Model, w Workload, warmup, maxInsts, every uint64, onInterval func(Interval)) SweepJob {
 	j := runJob(m, w, warmup, maxInsts, nil)
 	j.Run = func(ctx context.Context) (Result, error) {
-		trace, err := newCellTrace(m, w, warmup, maxInsts, nil)
-		if err != nil {
-			return Result{}, err
-		}
-		res, err := RunTraceIntervalsStream(ctx, m, trace, every, onInterval)
-		if err != nil {
-			return Result{}, fmt.Errorf("fxa: %s on %s: %w", m.Name, w.Name, err)
-		}
-		if terr := trace.Err(); terr != nil {
-			return Result{}, fmt.Errorf("fxa: %s trace: %w", w.Name, terr)
-		}
+		res, err := runCell(ctx, m, w, warmup, maxInsts, nil, engine.Options{IntervalInsts: every, OnInterval: onInterval})
 		res.Intervals = nil
-		return res, nil
+		return res, err
 	}
 	return j
 }
 
-// RunEvaluation runs all 29 proxies on all five models for maxInsts
-// dynamic instructions each and estimates energies. progress, if non-nil,
-// is called after each (workload, model) run.
-//
-// RunEvaluation is the serial-compatible wrapper; RunEvaluationSweep is
-// the full engine entry point with parallelism, caching, cancellation
-// and run statistics. The two produce bit-identical evaluations.
-func RunEvaluation(maxInsts uint64, progress func(workload, model string)) (*Evaluation, error) {
-	opts := SweepOptions{Workers: 1}
-	if progress != nil {
-		opts.OnEvent = func(e sweep.Event) {
-			if e.Kind == sweep.EventDone && e.Err == nil {
-				w, m, _ := strings.Cut(e.Label, "/")
-				progress(w, m)
-			}
-		}
-	}
-	ev, _, err := RunEvaluationSweep(context.Background(), maxInsts, opts)
-	return ev, err
-}
-
-// RunEvaluationSweep runs the full Section VI evaluation matrix through
-// the sweep engine: every (workload, model) cell is an independent job
-// executed on a bounded worker pool, optionally answered from the result
-// cache. Rows are assembled in catalog order regardless of completion
-// order, so the evaluation is deterministic for any worker count.
-func RunEvaluationSweep(ctx context.Context, maxInsts uint64, opts SweepOptions) (*Evaluation, SweepStats, error) {
-	return RunEvaluationSweepWarm(ctx, 0, maxInsts, opts)
-}
-
-// RunEvaluationSweepWarm is RunEvaluationSweep with a per-cell functional
-// fast-forward of warmup instructions before each detailed window — the
-// paper's skip-then-measure methodology (Section VI-A) scaled down. The
-// fast-forward runs on the emulator's fast path and its aggregate cost is
-// reported in the returned SweepStats (FFInsts/FFTime), so the stats line
-// shows how much of the wall clock went to functional skipping.
-func RunEvaluationSweepWarm(ctx context.Context, warmup, maxInsts uint64, opts SweepOptions) (*Evaluation, SweepStats, error) {
+// RunEvaluation runs the full Section VI evaluation matrix — all 29
+// proxies on all five models — through the sweep engine: every
+// (workload, model) cell is an independent job executed on a bounded
+// worker pool, optionally answered from the result cache. Each cell
+// fast-forwards warmup instructions functionally before its maxInsts
+// detailed ones — the paper's skip-then-measure methodology (Section
+// VI-A) scaled down; 0 is the classic cold start. The fast-forward's
+// aggregate cost is reported in the returned SweepStats
+// (FFInsts/FFTime). Rows are assembled in catalog order regardless of
+// completion order, so the evaluation is deterministic for any worker
+// count.
+func RunEvaluation(ctx context.Context, warmup, maxInsts uint64, opts SweepOptions) (*Evaluation, SweepStats, error) {
 	ev := &Evaluation{MaxInsts: maxInsts, Warmup: warmup, Models: Models()}
 	ws := Workloads()
 	var ff ffMeter
@@ -228,10 +197,10 @@ func RunEvaluationSweepWarm(ctx context.Context, warmup, maxInsts uint64, opts S
 }
 
 // NewEvaluation assembles an Evaluation from per-cell results given in
-// Workloads() × Models() order — the order RunEvaluationSweepWarm
-// submits its jobs and the order a remote client receives them back.
-// Energies are estimated here, so a result set produced elsewhere (the
-// fxad daemon) yields an Evaluation bit-identical to a local sweep's.
+// Workloads() × Models() order — the order RunEvaluation submits its
+// jobs and the order a remote client receives them back. Energies are
+// estimated here, so a result set produced elsewhere (the fxad daemon)
+// yields an Evaluation bit-identical to a local sweep's.
 func NewEvaluation(warmup, maxInsts uint64, results []Result) (*Evaluation, error) {
 	ev := &Evaluation{MaxInsts: maxInsts, Warmup: warmup, Models: Models()}
 	ws := Workloads()

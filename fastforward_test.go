@@ -9,6 +9,7 @@ package fxa
 // over the full workload surface the simulator actually ships.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -84,12 +85,12 @@ func TestRunWarmModeInvariance(t *testing.T) {
 	defer emu.SetDefaultFFMode(old)
 
 	SetFFMode(FFFast)
-	fast, err := RunWarm(HalfFX(), w, 30_000, 10_000)
+	fast, err := Run(context.Background(), Options{Model: HalfFX(), Workload: w, Warmup: 30_000, MaxInsts: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	SetFFMode(FFStep)
-	slow, err := RunWarm(HalfFX(), w, 30_000, 10_000)
+	slow, err := Run(context.Background(), Options{Model: HalfFX(), Workload: w, Warmup: 30_000, MaxInsts: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}

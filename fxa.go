@@ -7,8 +7,13 @@
 // Quick start:
 //
 //	w, _ := fxa.WorkloadByName("libquantum")
-//	res, err := fxa.Run(fxa.HalfFX(), w, 300_000)
+//	res, err := fxa.Run(context.Background(), fxa.Options{
+//		Model: fxa.HalfFX(), Workload: w, MaxInsts: 300_000,
+//	})
 //	fmt.Println(res.Counters.IPC(), res.Counters.IXURate())
+//
+// Run is the one single-run entry point; RunEvaluation, RunFigure11 and
+// RunFigure1213 are the sweeps, and SampleContext the sampled run.
 //
 // The five evaluation models of the paper (Section VI-B) are BIG, HALF,
 // LITTLE, BIG+FX and HALF+FX; fxa.Models() returns all of them. See
@@ -17,6 +22,7 @@ package fxa
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"fxa/internal/config"
@@ -33,7 +39,7 @@ import (
 )
 
 // SweepOptions configures the simulation-orchestration engine used by
-// RunEvaluationSweep and the figure sweeps: worker-pool size, result
+// RunEvaluation and the figure sweeps: worker-pool size, result
 // cache, error mode and the serialized progress-event callback. See
 // internal/sweep.
 type SweepOptions = sweep.Options
@@ -94,7 +100,7 @@ type Workload = workload.Params
 
 // Result carries the statistics of one simulation run. It is the engine
 // layer's schema-versioned result (engine.Result): JSON-serializable, with
-// an optional per-interval metrics series (see RunTraceIntervals).
+// an optional per-interval metrics series (see Options.IntervalInsts).
 type Result = engine.Result
 
 // Interval is one entry of a Result's interval-metrics series: the
@@ -153,26 +159,6 @@ func CompiledWorkloadByName(name string) (CompiledWorkload, error) {
 	return c, nil
 }
 
-// RunCompiled simulates maxInsts instructions (0 = to completion) of an
-// FXK kernel on model m.
-func RunCompiled(m Model, c CompiledWorkload, maxInsts uint64) (Result, error) {
-	trace, err := c.NewTrace(maxInsts)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := RunTrace(m, trace)
-	if err != nil {
-		return Result{}, fmt.Errorf("fxa: %s on %s: %w", m.Name, c.Name, err)
-	}
-	if terr := trace.Err(); terr != nil {
-		// A trace that faulted mid-run (emulator error) truncates silently
-		// from the timing model's point of view; surface it like Run and
-		// RunWarm do.
-		return Result{}, fmt.Errorf("fxa: %s trace: %w", c.Name, terr)
-	}
-	return res, nil
-}
-
 // WorkloadByName returns the named proxy.
 func WorkloadByName(name string) (Workload, error) {
 	p, ok := workload.ByName(name)
@@ -180,43 +166,6 @@ func WorkloadByName(name string) (Workload, error) {
 		return Workload{}, fmt.Errorf("fxa: unknown workload %q", name)
 	}
 	return p, nil
-}
-
-// Run simulates maxInsts dynamic instructions of w on model m and returns
-// the collected statistics. The timing model (out-of-order internal/core
-// or in-order internal/inorder) is resolved through the engine registry
-// by m.Kind.
-func Run(m Model, w Workload, maxInsts uint64) (Result, error) {
-	trace, err := w.NewTrace(maxInsts)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := RunTrace(m, trace)
-	if err != nil {
-		return Result{}, fmt.Errorf("fxa: %s on %s: %w", m.Name, w.Name, err)
-	}
-	if terr := trace.Err(); terr != nil {
-		return Result{}, fmt.Errorf("fxa: %s trace: %w", w.Name, terr)
-	}
-	return res, nil
-}
-
-// RunWarm is Run with a functional warmup: the first warmup instructions
-// execute only on the emulator (no timing), mirroring the paper's
-// 4G-instruction skip before its 100M-instruction measurement window.
-func RunWarm(m Model, w Workload, warmup, maxInsts uint64) (Result, error) {
-	trace, err := w.NewTraceWarm(warmup, maxInsts)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := RunTrace(m, trace)
-	if err != nil {
-		return Result{}, fmt.Errorf("fxa: %s on %s: %w", m.Name, w.Name, err)
-	}
-	if terr := trace.Err(); terr != nil {
-		return Result{}, fmt.Errorf("fxa: %s trace: %w", w.Name, terr)
-	}
-	return res, nil
 }
 
 // SamplingConfig describes a systematic-sampling schedule — windows,
@@ -229,57 +178,98 @@ type SamplingConfig = sampling.Config
 // instruction over the measured (warm-excluded) windows.
 type SamplingSummary = sampling.Summary
 
-// Sample estimates w's behaviour on m with systematic sampling: detailed
-// windows separated by functional fast-forwards, far cheaper than one
-// long detailed run, with per-metric confidence intervals as the accuracy
-// signal.
-func Sample(m Model, w Workload, cfg SamplingConfig) (SamplingSummary, error) {
-	return SampleContext(context.Background(), m, w, cfg)
-}
-
-// SampleContext is Sample under a context: cancelling ctx interrupts both
-// the functional fast-forward and the in-flight detailed windows promptly.
+// SampleContext estimates w's behaviour on m with systematic sampling:
+// detailed windows separated by functional fast-forwards, far cheaper
+// than one long detailed run, with per-metric confidence intervals as the
+// accuracy signal. Cancelling ctx interrupts both the functional
+// fast-forward and the in-flight detailed windows promptly.
 func SampleContext(ctx context.Context, m Model, w Workload, cfg SamplingConfig) (SamplingSummary, error) {
 	return sampling.Run(ctx, m, w, cfg)
 }
 
-// RunTrace simulates an arbitrary dynamic instruction stream on model m.
-// Use this to run programs assembled with internal/asm conventions via
-// your own emulator setup. The timing model is looked up in the engine
-// registry by m.Kind — no core package is named here.
-func RunTrace(m Model, trace *emu.Stream) (Result, error) {
-	return RunTraceContext(context.Background(), m, trace)
+// Options describes one simulation for Run: a model, exactly one source
+// of instructions, and for a proxy Workload the paper's skip-then-measure
+// budget (Section VI-A).
+type Options struct {
+	Model Model
+
+	// Exactly one source. Workload is a SPEC proxy, bounded by Warmup
+	// and MaxInsts (a proxy's main loop never ends, so MaxInsts 0 runs
+	// until ctx is cancelled). Kernel is an FXK kernel, run to
+	// completion. Trace is any dynamic-instruction stream; its own cap
+	// bounds it (emu.NewStream's limit, or c.NewTrace(n) for a capped
+	// kernel run).
+	Workload Workload
+	Kernel   CompiledWorkload
+	Trace    *emu.Stream
+
+	// Warmup instructions run only on the emulator (no timing) before
+	// the MaxInsts detailed ones. Workload only.
+	Warmup, MaxInsts uint64
+
+	// IntervalInsts > 0 collects interval metrics: Result.Intervals
+	// holds counter deltas cut roughly every IntervalInsts committed
+	// instructions, and summing them reproduces the final counters
+	// exactly. OnInterval, if non-nil, receives each interval as it is
+	// cut, from the simulating goroutine, so a serving layer can stream
+	// the series while the run is in flight.
+	IntervalInsts uint64
+	OnInterval    func(Interval)
 }
 
-// RunTraceContext is RunTrace under a context: cancelling ctx interrupts
-// the simulation within a few thousand simulated cycles and returns ctx's
-// error.
-func RunTraceContext(ctx context.Context, m Model, trace *emu.Stream) (Result, error) {
-	return engine.Run(ctx, m, trace)
+// The errors Run returns for an Options that does not describe one
+// simulation.
+var (
+	ErrNoSource     = errors.New("fxa: Options names no source (Workload, Kernel or Trace)")
+	ErrTwoSources   = errors.New("fxa: Options names more than one source")
+	ErrBudgetSource = errors.New("fxa: Warmup and MaxInsts apply only to a Workload source")
+)
+
+// check reports whether o names exactly one source, and a budget only
+// for a Workload.
+func (o *Options) check() error {
+	n := 0
+	for _, set := range []bool{o.Workload.Name != "", o.Kernel.Name != "" || o.Kernel.Source != "", o.Trace != nil} {
+		if set {
+			n++
+		}
+	}
+	switch {
+	case n == 0:
+		return ErrNoSource
+	case n > 1:
+		return ErrTwoSources
+	case o.Workload.Name == "" && (o.Warmup != 0 || o.MaxInsts != 0):
+		return ErrBudgetSource
+	}
+	return nil
 }
 
-// RunTraceIntervals is RunTraceContext with interval-metrics collection:
-// the returned Result carries a series of counter-delta snapshots cut
-// roughly every intervalInsts committed instructions (Result.Intervals).
-// The series partitions the run exactly — summing every interval's
-// counters reproduces the final counters.
-func RunTraceIntervals(ctx context.Context, m Model, trace *emu.Stream, intervalInsts uint64) (Result, error) {
-	e, err := engine.New(m, trace)
+// Run simulates one source on o.Model and returns the collected
+// statistics. The timing model (out-of-order internal/core or in-order
+// internal/inorder) is resolved through the engine registry by
+// o.Model.Kind. Cancelling ctx interrupts the simulation within a few
+// thousand simulated cycles and returns ctx's error; a trace that
+// stopped on an emulator fault fails the run. A Workload run is exactly
+// the evaluation cell EvaluationJob builds for the same budget.
+func Run(ctx context.Context, o Options) (Result, error) {
+	if err := o.check(); err != nil {
+		return Result{}, err
+	}
+	opts := engine.Options{IntervalInsts: o.IntervalInsts, OnInterval: o.OnInterval}
+	switch {
+	case o.Trace != nil:
+		return engine.Run(ctx, o.Model, o.Trace, opts)
+	case o.Workload.Name != "":
+		return runCell(ctx, o.Model, o.Workload, o.Warmup, o.MaxInsts, nil, opts)
+	}
+	trace, err := o.Kernel.NewTrace(0)
 	if err != nil {
 		return Result{}, err
 	}
-	return engine.Drive(ctx, e, engine.Options{IntervalInsts: intervalInsts})
-}
-
-// RunTraceIntervalsStream is RunTraceIntervals with a live consumer:
-// onInterval is invoked synchronously from the driving goroutine as each
-// interval is cut, including the tail interval, so a serving layer can
-// push the series over the wire while the simulation is still running.
-// The returned Result carries the same series in Result.Intervals.
-func RunTraceIntervalsStream(ctx context.Context, m Model, trace *emu.Stream, intervalInsts uint64, onInterval func(Interval)) (Result, error) {
-	e, err := engine.New(m, trace)
+	res, err := engine.Run(ctx, o.Model, trace, opts)
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("fxa: %s on %s: %w", o.Model.Name, o.Kernel.Name, err)
 	}
-	return engine.Drive(ctx, e, engine.Options{IntervalInsts: intervalInsts, OnInterval: onInterval})
+	return res, nil
 }

@@ -90,7 +90,7 @@ func (s System) Run(phases []Phase) (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		res, err := engine.Run(context.Background(), m, trace)
+		res, err := engine.Run(context.Background(), m, trace, engine.Options{})
 		if err != nil {
 			return rep, err
 		}

@@ -35,7 +35,7 @@ func Landscape(ctx context.Context, w workload.Params, insts uint64) ([]Landscap
 		if err != nil {
 			return nil, err
 		}
-		res, err := engine.Run(ctx, m, trace)
+		res, err := engine.Run(ctx, m, trace, engine.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("biglittle: %s on %s: %w", m.Name, w.Name, err)
 		}

@@ -3,12 +3,14 @@
 // compares five models across two distinct timing substrates — the
 // out-of-order (optionally FXA) core of internal/core and the in-order
 // LITTLE core of internal/inorder — and before this layer existed every
-// caller (fxa.RunTrace, internal/sampling, internal/biglittle, the cmd/
+// caller (fxa.Run, internal/sampling, internal/biglittle, the cmd/
 // tools) dispatched on config.CoreKind by hand while the two cores
 // duplicated their trace-batching and deadlock-watchdog front halves.
 //
 // The engine layer provides:
 //
+//   - Run, the one-call simulation: New, then Drive, then the
+//     trace-fault check (FaultTrace);
 //   - Engine, the interface any timing model plugs into: Run(ctx) for a
 //     whole simulation, Step(nCycles) for bounded incremental driving,
 //     and Result() for (idempotent, mid-run-safe) statistics assembly;
@@ -163,14 +165,28 @@ func New(m config.Model, trace Trace) (Engine, error) {
 	return c(m, trace)
 }
 
-// Run is the one-call entry point: construct the engine for m and drive
-// it to completion under ctx.
-func Run(ctx context.Context, m config.Model, trace Trace) (Result, error) {
+// Run is the one-call entry point: construct the engine for m, drive it
+// to completion under ctx with opts, and check the trace. A trace that
+// stopped on a fault (an emulator error mid-run) looks to the timing
+// model like one that simply ended, so when trace is a FaultTrace its
+// error fails the run, wrapped as "engine: trace: ...". Every caller
+// that owns no probe runs through here, so none can report a silently
+// truncated run as a good one.
+func Run(ctx context.Context, m config.Model, trace Trace, opts Options) (Result, error) {
 	e, err := New(m, trace)
 	if err != nil {
 		return Result{}, err
 	}
-	return Drive(ctx, e, Options{})
+	res, err := Drive(ctx, e, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	if ft, ok := trace.(FaultTrace); ok {
+		if err := ft.Err(); err != nil {
+			return Result{}, fmt.Errorf("engine: trace: %w", err)
+		}
+	}
+	return res, nil
 }
 
 // DefaultCheckEvery is the default Step slice Drive uses between

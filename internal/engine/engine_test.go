@@ -210,6 +210,41 @@ func TestRegistryRejectsUnknownKind(t *testing.T) {
 	}
 }
 
+// faultTrace is a seqTrace that reports err once it has ended, the way
+// an emu.Stream reports an emulator fault.
+type faultTrace struct {
+	seqTrace
+	err error
+}
+
+func (f *faultTrace) Err() error { return f.err }
+
+// TestRunSurfacesTraceFault pins that Run, not its callers, owns the
+// trace-fault check: a trace that ended on a fault fails the run with
+// the fault wrapped, while the same trace ending cleanly succeeds.
+func TestRunSurfacesTraceFault(t *testing.T) {
+	kind := config.CoreKind(203)
+	Register(kind, func(m config.Model, tr Trace) (Engine, error) {
+		return &fakeEngine{total: 100}, nil
+	})
+	m := config.Model{Name: "fake", Kind: kind}
+	fault := errors.New("emu: undecodable word at PC 0x1000")
+	_, err := Run(context.Background(), m, &faultTrace{err: fault}, Options{})
+	if !errors.Is(err, fault) {
+		t.Fatalf("err = %v, want the trace fault wrapped", err)
+	}
+	if !strings.Contains(err.Error(), "engine: trace:") {
+		t.Errorf("err %q does not attribute the failure to the trace", err)
+	}
+	res, err := Run(context.Background(), m, &faultTrace{}, Options{})
+	if err != nil {
+		t.Fatalf("clean trace: %v", err)
+	}
+	if res.Counters.Committed != 100 {
+		t.Errorf("clean trace committed %d, want 100", res.Counters.Committed)
+	}
+}
+
 func TestRegisterRejectsDuplicatesAndNil(t *testing.T) {
 	kind := config.CoreKind(201)
 	ctor := func(m config.Model, tr Trace) (Engine, error) { return &fakeEngine{}, nil }

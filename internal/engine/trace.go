@@ -33,6 +33,14 @@ type CodeGenTrace interface {
 	CodeGen() uint64
 }
 
+// FaultTrace is an optional extension of Trace for traces that can stop
+// on a fault (emu.Stream: an undecodable word, a wild access). Err
+// reports the fault after the trace has ended; nil means it ended
+// normally. Run probes for it once the engine has drained.
+type FaultTrace interface {
+	Err() error
+}
+
 // TraceBatch is the refill size used when the trace supports batching:
 // large enough to amortize the interface call, small enough that the
 // buffer stays resident in L1 (64 records × 32 B = 2 KiB).

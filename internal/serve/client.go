@@ -329,7 +329,7 @@ func (c *Client) getJSON(ctx context.Context, path string, v any) error {
 
 // RemoteEvaluation runs the full Section VI evaluation matrix against a
 // remote daemon: one job per (workload, model) cell in the same order a
-// local RunEvaluationSweepWarm submits them, assembled with the same
+// local fxa.RunEvaluation submits them, assembled with the same
 // NewEvaluation, so the remote evaluation is bit-identical to a local
 // one (differential-test-enforced). onDone, if non-nil, is invoked from
 // a single goroutine after each cell completes.

@@ -715,7 +715,7 @@ func TestSampledJobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := fxa.Sample(m, w, spec.Sample.Config())
+	local, err := fxa.SampleContext(context.Background(), m, w, spec.Sample.Config())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ package fxa
 // the stage-library PR.
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"fxa/internal/config"
@@ -64,7 +66,12 @@ func TestUnknownKindRejected(t *testing.T) {
 	if err := m.Validate(); err == nil {
 		t.Fatal("Validate accepted an unknown core kind")
 	}
-	if _, err := RunTrace(m, nil); err == nil {
-		t.Fatal("RunTrace accepted an unknown core kind")
+	w, err := WorkloadByName("libquantum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(context.Background(), Options{Model: m, Workload: w, MaxInsts: 1_000})
+	if err == nil || !strings.Contains(err.Error(), "no engine registered") {
+		t.Fatalf("Run with an unknown core kind: err = %v, want the engine registry's rejection", err)
 	}
 }

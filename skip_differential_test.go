@@ -36,14 +36,14 @@ func runPair(t *testing.T, m Model, prog *asm.Program, insts uint64) {
 	ctx := context.Background()
 
 	engine.SetIdleSkip(true)
-	on, err := RunTraceIntervals(ctx, m, emu.NewStream(emu.New(prog), insts), every)
+	on, err := Run(ctx, Options{Model: m, Trace: emu.NewStream(emu.New(prog), insts), IntervalInsts: every})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	engine.SetIdleSkip(false)
 	defer engine.SetIdleSkip(true)
-	off, err := RunTraceIntervals(ctx, m, emu.NewStream(emu.New(prog), insts), every)
+	off, err := Run(ctx, Options{Model: m, Trace: emu.NewStream(emu.New(prog), insts), IntervalInsts: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestSkipDifferentialSelfModifying(t *testing.T) {
 
 			// Architectural sanity against the functional reference.
 			machine := emu.New(prog)
-			res, err := RunTrace(m, emu.NewStream(machine, 0))
+			res, err := Run(context.Background(), Options{Model: m, Trace: emu.NewStream(machine, 0)})
 			if err != nil {
 				t.Fatal(err)
 			}
